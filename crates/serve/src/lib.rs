@@ -12,8 +12,8 @@
 //! per-model + aggregate metrics) runs a queue → batcher → worker-pool
 //! engine around them:
 //!
-//! * **admission control** — a [`BoundedQueue`](queue::BoundedQueue)
-//!   validates requests (vocabulary, sequence length) and bounds the
+//! * **admission control** — a model-tagged
+//!   [`TaggedQueue`](queue::TaggedQueue) validates requests (vocabulary, sequence length) and bounds the
 //!   backlog; [`ServeHandle::submit`] applies backpressure by blocking,
 //!   [`ServeHandle::try_submit`] bounces with
 //!   [`SubmitError::QueueFull`];

@@ -1,20 +1,19 @@
 //! The bounded submission queue: admission control at the front, dynamic
 //! batch formation at the back.
 //!
-//! One `Mutex<VecDeque>` plus two condvars; producers block (or bounce,
-//! via [`BoundedQueue::try_push`]) when the queue is at capacity, and
-//! worker threads pull *batches*: the first item is waited for
-//! indefinitely, then up to `max_wait` is spent coalescing more items
+//! [`TaggedQueue`] is one `Mutex<VecDeque>` plus two condvars; producers
+//! block (or bounce, via [`TaggedQueue::try_push`]) when the queue is at
+//! capacity, and worker threads pull *batches*: the first item is waited
+//! for indefinitely, then up to `max_wait` is spent coalescing more items
 //! until `max_batch` is reached. Closing the queue wakes everyone;
 //! already-accepted items are still handed out so a shutdown drains
 //! instead of dropping work.
 //!
-//! [`TaggedQueue`] layers multi-model routing on top: every item carries
-//! a tag (the serving engine uses [`ModelId`](crate::ModelId)), one
-//! global FIFO keeps admission order across all tags, and
-//! [`TaggedQueue::pop_batch_grouped`] coalesces a batch only from items
-//! sharing the leader's `(tag, secondary key)` pair. The tagged queue
-//! additionally enforces **per-tag admission quotas**
+//! Every item carries a tag (the serving engine uses
+//! [`ModelId`](crate::ModelId)), one global FIFO keeps admission order
+//! across all tags, and [`TaggedQueue::pop_batch_grouped`] coalesces a
+//! batch only from items sharing the leader's `(tag, secondary key)`
+//! pair. The queue additionally enforces **per-tag admission quotas**
 //! ([`TaggedQueue::set_quota`]): a tag may occupy at most its quota of
 //! the shared capacity, so one flooding model sheds load with a typed
 //! [`PushError::QuotaExceeded`] instead of consuming every slot and
@@ -38,214 +37,6 @@ pub enum PushError<T> {
     QuotaExceeded(T),
     /// The queue was closed; the item is handed back.
     Closed(T),
-}
-
-struct QueueState<T> {
-    items: VecDeque<T>,
-    closed: bool,
-    /// High-water mark of the queue depth.
-    peak_depth: usize,
-}
-
-/// A bounded MPMC queue with batch-popping consumers.
-pub struct BoundedQueue<T> {
-    state: Mutex<QueueState<T>>,
-    /// Signalled when an item arrives or the queue closes.
-    nonempty: Condvar,
-    /// Signalled when space frees up or the queue closes.
-    space: Condvar,
-    capacity: usize,
-}
-
-impl<T> BoundedQueue<T> {
-    /// A queue admitting at most `capacity` items at a time (minimum 1).
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            state: Mutex::new(QueueState { items: VecDeque::new(), closed: false, peak_depth: 0 }),
-            nonempty: Condvar::new(),
-            space: Condvar::new(),
-            capacity: capacity.max(1),
-        }
-    }
-
-    /// Admits an item if there is space, returning the queue depth after
-    /// the push.
-    ///
-    /// # Errors
-    ///
-    /// [`PushError::Full`] at capacity, [`PushError::Closed`] after
-    /// [`BoundedQueue::close`] — both return the item.
-    pub fn try_push(&self, item: T) -> Result<usize, PushError<T>> {
-        let mut state = self.state.lock().expect("queue lock");
-        if state.closed {
-            return Err(PushError::Closed(item));
-        }
-        if state.items.len() >= self.capacity {
-            return Err(PushError::Full(item));
-        }
-        state.items.push_back(item);
-        let depth = state.items.len();
-        state.peak_depth = state.peak_depth.max(depth);
-        drop(state);
-        self.nonempty.notify_one();
-        Ok(depth)
-    }
-
-    /// Admits an item, blocking while the queue is at capacity
-    /// (backpressure), and returns the queue depth after the push.
-    ///
-    /// # Errors
-    ///
-    /// [`PushError::Closed`] when the queue closes before space appears.
-    pub fn push_blocking(&self, item: T) -> Result<usize, PushError<T>> {
-        let mut state = self.state.lock().expect("queue lock");
-        while !state.closed && state.items.len() >= self.capacity {
-            state = self.space.wait(state).expect("queue lock");
-        }
-        if state.closed {
-            return Err(PushError::Closed(item));
-        }
-        state.items.push_back(item);
-        let depth = state.items.len();
-        state.peak_depth = state.peak_depth.max(depth);
-        drop(state);
-        self.nonempty.notify_one();
-        Ok(depth)
-    }
-
-    /// Pulls the next batch: blocks for the first item, then coalesces up
-    /// to `max_batch` items, waiting at most `max_wait` for stragglers.
-    ///
-    /// Returns `None` only when the queue is closed **and** drained — a
-    /// consumer loop that exits on `None` never abandons accepted work.
-    pub fn pop_batch(&self, max_batch: usize, max_wait: Duration) -> Option<Vec<T>> {
-        self.pop_batch_grouped(max_batch, max_wait, |_| 0u8)
-    }
-
-    /// Pulls the next batch of items sharing one **group key** — the
-    /// length-aware batcher. The oldest item is waited for and taken
-    /// unconditionally (no starvation: the queue head always leads its
-    /// batch); the rest of the queue is then scanned for items whose key
-    /// matches, skipping over non-matching items, which keep their place
-    /// for other consumers. The straggler wait only admits matching
-    /// arrivals. The serving engine keys on bucketed sequence length so
-    /// coalesced batches are packable into one tall GEMM with bounded
-    /// padding.
-    ///
-    /// Returns `None` only when the queue is closed **and** drained.
-    pub fn pop_batch_grouped<K: Eq>(
-        &self,
-        max_batch: usize,
-        max_wait: Duration,
-        key: impl Fn(&T) -> K,
-    ) -> Option<Vec<T>> {
-        let max_batch = max_batch.max(1);
-        let mut state = self.state.lock().expect("queue lock");
-        while state.items.is_empty() {
-            if state.closed {
-                return None;
-            }
-            state = self.nonempty.wait(state).expect("queue lock");
-        }
-        let mut batch = Vec::with_capacity(max_batch);
-        let leader = state.items.pop_front().expect("queue is non-empty");
-        let group = key(&leader);
-        batch.push(leader);
-        // Scan the backlog for group members; non-members keep their
-        // position (the next pop's leader is still the oldest item).
-        let mut idx = 0;
-        while batch.len() < max_batch && idx < state.items.len() {
-            if key(&state.items[idx]) == group {
-                batch.push(state.items.remove(idx).expect("index in bounds"));
-            } else {
-                idx += 1;
-            }
-        }
-        // The drain freed producer slots; wake blocked producers *before*
-        // the coalescing wait (they acquire the lock once `wait_timeout`
-        // releases it), so backpressured traffic can join this batch
-        // instead of structurally never arriving.
-        self.space.notify_all();
-        // Dynamic coalescing: give matching stragglers up to `max_wait`
-        // to join an underfull batch (a closed queue stops waiting
-        // immediately).
-        if batch.len() < max_batch && !max_wait.is_zero() {
-            let deadline = Instant::now() + max_wait;
-            while batch.len() < max_batch && !state.closed {
-                // Each wake re-scans the (bounded) backlog: the initial
-                // scan already removed matches, so this only finds new
-                // arrivals.
-                let mut took = false;
-                let mut idx = 0;
-                while batch.len() < max_batch && idx < state.items.len() {
-                    if key(&state.items[idx]) == group {
-                        batch.push(state.items.remove(idx).expect("index in bounds"));
-                        self.space.notify_one();
-                        took = true;
-                    } else {
-                        idx += 1;
-                    }
-                }
-                if took {
-                    continue;
-                }
-                // A wake consumed for a non-matching item must be
-                // forwarded: pushes signal `notify_one`, and another
-                // consumer may be parked on the leader wait while we
-                // alone were woken for work we won't take.
-                if !state.items.is_empty() {
-                    self.nonempty.notify_one();
-                }
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                let (guard, timeout) =
-                    self.nonempty.wait_timeout(state, deadline - now).expect("queue lock");
-                state = guard;
-                if timeout.timed_out() && !state.items.iter().any(|i| key(i) == group) {
-                    break;
-                }
-            }
-        }
-        // Same wake-forwarding on exit: if non-members remain queued,
-        // make sure some consumer is (re)notified about them.
-        let leftovers = !state.items.is_empty();
-        drop(state);
-        self.space.notify_all();
-        if leftovers {
-            self.nonempty.notify_one();
-        }
-        Some(batch)
-    }
-
-    /// Stops admitting work and wakes all blocked producers and
-    /// consumers. Items already admitted remain poppable.
-    pub fn close(&self) {
-        self.state.lock().expect("queue lock").closed = true;
-        self.nonempty.notify_all();
-        self.space.notify_all();
-    }
-
-    /// Current queue depth.
-    pub fn len(&self) -> usize {
-        self.state.lock().expect("queue lock").items.len()
-    }
-
-    /// Whether the queue is currently empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Highest queue depth observed so far.
-    pub fn peak_depth(&self) -> usize {
-        self.state.lock().expect("queue lock").peak_depth
-    }
-
-    /// Whether [`BoundedQueue::close`] has been called.
-    pub fn is_closed(&self) -> bool {
-        self.state.lock().expect("queue lock").closed
-    }
 }
 
 struct TaggedState<Tag, T> {
@@ -553,131 +344,133 @@ impl<Tag: Copy + Eq + Hash, T> TaggedQueue<Tag, T> {
 mod tests {
     use super::*;
 
+    /// Pops the next batch of one tag-0 queue, ignoring the tag.
+    fn pop(q: &TaggedQueue<u8, u32>, max_batch: usize, max_wait: Duration) -> Option<Vec<u32>> {
+        q.pop_batch_grouped(max_batch, max_wait, |_| 0u8).map(|(_, batch)| batch)
+    }
+
     #[test]
     fn try_push_enforces_capacity_then_admits_after_pop() {
-        let q = BoundedQueue::new(2);
-        assert_eq!(q.try_push(1), Ok(1));
-        assert_eq!(q.try_push(2), Ok(2));
-        assert_eq!(q.try_push(3), Err(PushError::Full(3)));
+        let q = TaggedQueue::new(2);
+        assert_eq!(q.try_push(0, 1), Ok(1));
+        assert_eq!(q.try_push(0, 2), Ok(2));
+        assert_eq!(q.try_push(0, 3), Err(PushError::Full(3)));
         assert_eq!(q.peak_depth(), 2);
-        let batch = q.pop_batch(1, Duration::ZERO).unwrap();
-        assert_eq!(batch, vec![1]);
-        assert_eq!(q.try_push(3), Ok(2));
+        assert_eq!(pop(&q, 1, Duration::ZERO).unwrap(), vec![1]);
+        assert_eq!(q.try_push(0, 3), Ok(2));
     }
 
     #[test]
     fn pop_batch_coalesces_up_to_max_batch() {
-        let q = BoundedQueue::new(8);
+        let q = TaggedQueue::new(8);
         for i in 0..5 {
-            q.try_push(i).unwrap();
+            q.try_push(0, i).unwrap();
         }
-        let batch = q.pop_batch(3, Duration::ZERO).unwrap();
-        assert_eq!(batch, vec![0, 1, 2]);
-        let batch = q.pop_batch(8, Duration::ZERO).unwrap();
-        assert_eq!(batch, vec![3, 4]);
+        assert_eq!(pop(&q, 3, Duration::ZERO).unwrap(), vec![0, 1, 2]);
+        assert_eq!(q.len(), 2);
+        assert_eq!(pop(&q, 8, Duration::ZERO).unwrap(), vec![3, 4]);
     }
 
     #[test]
     fn grouped_pop_collects_matching_items_and_preserves_the_rest() {
-        let q = BoundedQueue::new(16);
+        let q = TaggedQueue::new(16);
         for item in [10, 21, 12, 23, 14, 25] {
-            q.try_push(item).unwrap();
+            q.try_push(0u8, item).unwrap();
         }
         // Key = tens digit: the leader (10) groups with 12 and 14; the
         // odd group keeps its order for the next consumer.
-        let batch = q.pop_batch_grouped(8, Duration::ZERO, |i| i / 10).unwrap();
+        let (_, batch) = q.pop_batch_grouped(8, Duration::ZERO, |i| i / 10).unwrap();
         assert_eq!(batch, vec![10, 12, 14]);
-        let batch = q.pop_batch_grouped(8, Duration::ZERO, |i| i / 10).unwrap();
+        let (_, batch) = q.pop_batch_grouped(8, Duration::ZERO, |i| i / 10).unwrap();
         assert_eq!(batch, vec![21, 23, 25]);
     }
 
     #[test]
     fn grouped_pop_respects_max_batch() {
-        let q = BoundedQueue::new(16);
+        let q = TaggedQueue::new(16);
         for item in [1, 2, 3, 4] {
-            q.try_push(item).unwrap();
+            q.try_push(0u8, item).unwrap();
         }
-        let batch = q.pop_batch_grouped(2, Duration::ZERO, |_| 0u8).unwrap();
-        assert_eq!(batch, vec![1, 2]);
+        assert_eq!(pop(&q, 2, Duration::ZERO).unwrap(), vec![1, 2]);
         assert_eq!(q.len(), 2);
     }
 
     #[test]
     fn grouped_pop_straggler_wait_only_admits_matches() {
         use std::sync::Arc;
-        let q = Arc::new(BoundedQueue::new(16));
-        q.try_push(10u32).unwrap();
+        let q = Arc::new(TaggedQueue::new(16));
+        q.try_push(0u8, 10u32).unwrap();
         let producer = {
             let q = Arc::clone(&q);
             std::thread::spawn(move || {
                 // A non-matching item, then a matching one.
-                q.try_push(25).unwrap();
-                q.try_push(12).unwrap();
+                q.try_push(0, 25).unwrap();
+                q.try_push(0, 12).unwrap();
             })
         };
-        let batch = q.pop_batch_grouped(2, Duration::from_secs(10), |i| i / 10).unwrap();
+        let (_, batch) = q.pop_batch_grouped(2, Duration::from_secs(10), |i| i / 10).unwrap();
         assert_eq!(batch, vec![10, 12]);
         producer.join().unwrap();
-        assert_eq!(q.pop_batch(8, Duration::ZERO).unwrap(), vec![25]);
+        assert_eq!(pop(&q, 8, Duration::ZERO).unwrap(), vec![25]);
     }
 
     #[test]
     fn closed_queue_rejects_pushes_but_drains_pops() {
-        let q = BoundedQueue::new(4);
-        q.try_push("a").unwrap();
-        q.try_push("b").unwrap();
+        let q = TaggedQueue::new(4);
+        q.try_push(0u8, "a").unwrap();
+        q.try_push(0, "b").unwrap();
         q.close();
-        assert_eq!(q.try_push("c"), Err(PushError::Closed("c")));
-        assert_eq!(q.push_blocking("d"), Err(PushError::Closed("d")));
+        assert!(q.is_closed());
+        assert_eq!(q.try_push(0, "c"), Err(PushError::Closed("c")));
+        assert_eq!(q.push_blocking(0, "d"), Err(PushError::Closed("d")));
         // Accepted items are still handed out…
-        assert_eq!(q.pop_batch(8, Duration::from_secs(5)).unwrap(), vec!["a", "b"]);
+        let drained = q.pop_batch_grouped(8, Duration::from_secs(5), |_| 0u8);
+        assert_eq!(drained, Some((0, vec!["a", "b"])));
         // …and only a drained+closed queue returns None.
-        assert!(q.pop_batch(8, Duration::from_secs(5)).is_none());
+        assert!(q.pop_batch_grouped(8, Duration::from_secs(5), |_| 0u8).is_none());
     }
 
     #[test]
     fn blocked_producer_resumes_when_space_frees() {
         use std::sync::Arc;
-        let q = Arc::new(BoundedQueue::new(1));
-        q.try_push(0u32).unwrap();
+        let q = Arc::new(TaggedQueue::new(1));
+        q.try_push(0, 0).unwrap();
         let producer = {
             let q = Arc::clone(&q);
-            std::thread::spawn(move || q.push_blocking(1).is_ok())
+            std::thread::spawn(move || q.push_blocking(0, 1).is_ok())
         };
         // The producer is blocked on the full queue until a pop frees it.
-        let first = q.pop_batch(1, Duration::ZERO).unwrap();
-        assert_eq!(first, vec![0]);
+        assert_eq!(pop(&q, 1, Duration::ZERO).unwrap(), vec![0]);
         assert!(producer.join().unwrap());
-        assert_eq!(q.pop_batch(1, Duration::ZERO).unwrap(), vec![1]);
+        assert_eq!(pop(&q, 1, Duration::ZERO).unwrap(), vec![1]);
     }
 
     #[test]
     fn backpressured_producer_joins_the_coalescing_window() {
         use std::sync::Arc;
         // Capacity below max_batch: the third item can only enter the
-        // batch if pop_batch releases producer slots before (not after)
+        // batch if the pop releases producer slots before (not after)
         // its straggler wait.
-        let q = Arc::new(BoundedQueue::new(2));
-        q.try_push(0u32).unwrap();
-        q.try_push(1).unwrap();
+        let q = Arc::new(TaggedQueue::new(2));
+        q.try_push(0, 0).unwrap();
+        q.try_push(0, 1).unwrap();
         let producer = {
             let q = Arc::clone(&q);
-            std::thread::spawn(move || q.push_blocking(2).is_ok())
+            std::thread::spawn(move || q.push_blocking(0, 2).is_ok())
         };
         // Regardless of whether the producer has blocked yet, the
         // coalescing window must admit its item.
-        let batch = q.pop_batch(3, Duration::from_secs(10)).unwrap();
-        assert_eq!(batch, vec![0, 1, 2]);
+        assert_eq!(pop(&q, 3, Duration::from_secs(10)).unwrap(), vec![0, 1, 2]);
         assert!(producer.join().unwrap());
     }
 
     #[test]
     fn blocked_consumer_wakes_on_close() {
         use std::sync::Arc;
-        let q: Arc<BoundedQueue<u32>> = Arc::new(BoundedQueue::new(1));
+        let q: Arc<TaggedQueue<u8, u32>> = Arc::new(TaggedQueue::new(1));
         let consumer = {
             let q = Arc::clone(&q);
-            std::thread::spawn(move || q.pop_batch(4, Duration::from_secs(60)))
+            std::thread::spawn(move || pop(&q, 4, Duration::from_secs(60)))
         };
         q.close();
         assert_eq!(consumer.join().unwrap(), None);

@@ -6,11 +6,13 @@
 //! [`Model::forward`] (bidirectional over the prompt, exactly the
 //! encoder semantics every other path uses), harvesting each layer's
 //! K/V activation codes into a [`KvCache`]; every subsequent token is
-//! then computed *incrementally* — one `1 × hidden` row per layer,
-//! attending causally over the cached K/V rows plus itself — with the
-//! very same executor hooks (`dictionary encode → decode`, weight
-//! substitution, Eq. 7/8 output snapping, and the pair-LUT GEMM path
-//! under [`ExecMode::IndexDomain`]) the full forward pass uses.
+//! then computed *incrementally* by the model's one encoder-layer step,
+//! run as a one-row query ([`PackedBatch::decode_step`]) whose keys and
+//! values are the cached K/V rows plus its own — with the very same
+//! executor hooks (`dictionary encode → decode`, weight substitution,
+//! Eq. 7/8 output snapping, and the pair-LUT GEMM path under
+//! [`ExecMode::IndexDomain`]) and fused attention kernels the full
+//! forward pass uses.
 //!
 //! Attention semantics are prefix-LM style and self-consistent with the
 //! cache: prompt positions attend only to the prompt (their K/V are
@@ -25,9 +27,10 @@
 
 use crate::exec::{ExecMode, Executor, QuantizedContext, QuantizedExecutor, QuantizedStats};
 use crate::kv::KvCache;
-use crate::model::Model;
+use crate::model::{KvSource, Model};
+use crate::packed::PackedBatch;
 use mokey_core::lut::DecodeLut;
-use mokey_tensor::{dot, nn, Matrix};
+use mokey_tensor::{dot, Matrix};
 
 /// A finished generation: the sampled tokens, the final hidden row the
 /// last token was sampled from, and the activation-encoding counters
@@ -134,12 +137,10 @@ impl DecodeSession {
     /// One incremental layer-stack pass for `token` at the next cache
     /// position.
     fn advance(&mut self, model: &Model, ctx: &QuantizedContext, token: usize) {
-        let pos = self.tokens.len();
-        let x = model.embed_one(token, pos);
         let mut exec = QuantizedExecutor::with_mode(ctx, self.mode);
         exec.capture(kv_capture_names(model.config().layers));
-        let mut backing = CodeBacked { cache: &mut self.cache };
-        self.last_hidden = step_hidden(model, ctx, &mut exec, &mut backing, x);
+        let mut kv = CodeBacked { ctx, cache: &mut self.cache };
+        self.last_hidden = step_pass(model, &mut exec, &mut kv, token, self.tokens.len());
         self.tokens.push(token);
         self.stats.merge(&exec.stats());
     }
@@ -223,10 +224,9 @@ pub fn generate_reference(
         let mut iter_stats = exec.stats();
         let mut last = full.slice_rows(prompt.len() - 1, 1);
         for (i, &t) in generated.iter().enumerate() {
-            let x = model.embed_one(t, prompt.len() + i);
             let mut step_exec = QuantizedExecutor::with_mode(ctx, mode);
-            let mut backing = FloatBacked { k: &mut kf, v: &mut vf };
-            last = step_hidden(model, ctx, &mut step_exec, &mut backing, x);
+            let mut kv = FloatBacked { k: &mut kf, v: &mut vf };
+            last = step_pass(model, &mut step_exec, &mut kv, t, prompt.len() + i);
             iter_stats.merge(&step_exec.stats());
         }
         if generated.len() >= max_tokens {
@@ -265,40 +265,43 @@ fn kv_capture_names(layers: usize) -> impl Iterator<Item = String> {
     (0..layers).flat_map(|li| [format!("L{li}.attn.k"), format!("L{li}.attn.v")])
 }
 
-/// Where a step's K/V history comes from: the quantized code cache
-/// (production) or float matrices (the reference oracle). Everything
-/// else in the step is shared, so a divergence is a cache bug.
-trait KvBacking {
-    /// Appends the step's freshly encoded K/V row and returns the full
-    /// `positions × hidden` K and V matrices to attend over.
-    fn extend(
-        &mut self,
-        ctx: &QuantizedContext,
-        li: usize,
-        exec: &mut QuantizedExecutor<'_>,
-        k: &Matrix,
-        v: &Matrix,
-    ) -> (Matrix, Matrix);
+/// One decode step's layer-stack pass: `token` at position `pos` runs
+/// through [`Model`]'s one encoder layer body as a single query row
+/// attending over `pos` positions of K/V history (from `kv`) plus itself.
+fn step_pass<E: Executor + ?Sized>(
+    model: &Model,
+    exec: &mut E,
+    kv: &mut dyn KvSource<E>,
+    token: usize,
+    pos: usize,
+) -> Matrix {
+    let pack = PackedBatch::decode_step(&[pos]);
+    let batch = [std::slice::from_ref(&token)];
+    let x = model.embed(&pack, &batch);
+    model.encoder_stack(exec, &pack, x, kv)
 }
 
+/// Production K/V history: the step's K/V codes, harvested by the
+/// encoding hook, are appended to the code cache, and the whole history
+/// is rematerialized through the tensors' decode tables.
 struct CodeBacked<'c> {
+    ctx: &'c QuantizedContext,
     cache: &'c mut KvCache,
 }
 
-impl KvBacking for CodeBacked<'_> {
-    fn extend(
+impl KvSource<QuantizedExecutor<'_>> for CodeBacked<'_> {
+    fn keys_values(
         &mut self,
-        ctx: &QuantizedContext,
         li: usize,
         exec: &mut QuantizedExecutor<'_>,
-        _k: &Matrix,
-        _v: &Matrix,
+        _k: Matrix,
+        _v: Matrix,
     ) -> (Matrix, Matrix) {
         let kc = exec.take_captured(&format!("L{li}.attn.k")).expect("captured K codes");
         let vc = exec.take_captured(&format!("L{li}.attn.v")).expect("captured V codes");
         self.cache.append(li, &kc, &vc);
-        let klut = decode_lut(ctx, li, 'k');
-        let vlut = decode_lut(ctx, li, 'v');
+        let klut = decode_lut(self.ctx, li, 'k');
+        let vlut = decode_lut(self.ctx, li, 'v');
         (self.cache.decode_k(li, &klut), self.cache.decode_v(li, &vlut))
     }
 }
@@ -307,22 +310,18 @@ fn decode_lut(ctx: &QuantizedContext, li: usize, which: char) -> DecodeLut {
     ctx.act_decode.get(&format!("L{li}.attn.{which}")).copied().expect("K/V activation dictionary")
 }
 
+/// The reference oracle's K/V history: plain float matrices, extended by
+/// each step's hook outputs. Everything else in the step is shared with
+/// [`CodeBacked`], so a divergence is a cache bug.
 struct FloatBacked<'c> {
     k: &'c mut Vec<Matrix>,
     v: &'c mut Vec<Matrix>,
 }
 
-impl KvBacking for FloatBacked<'_> {
-    fn extend(
-        &mut self,
-        _ctx: &QuantizedContext,
-        li: usize,
-        _exec: &mut QuantizedExecutor<'_>,
-        k: &Matrix,
-        v: &Matrix,
-    ) -> (Matrix, Matrix) {
-        self.k[li] = push_row(&self.k[li], k);
-        self.v[li] = push_row(&self.v[li], v);
+impl<E: ?Sized> KvSource<E> for FloatBacked<'_> {
+    fn keys_values(&mut self, li: usize, _exec: &mut E, k: Matrix, v: Matrix) -> (Matrix, Matrix) {
+        self.k[li] = push_row(&self.k[li], &k);
+        self.v[li] = push_row(&self.v[li], &v);
         (self.k[li].clone(), self.v[li].clone())
     }
 }
@@ -337,71 +336,6 @@ fn push_row(m: &Matrix, row: &Matrix) -> Matrix {
     }
     out.row_mut(m.rows()).copy_from_slice(row.row(0));
     out
-}
-
-/// One incremental layer-stack pass for a single embedded row, mirroring
-/// [`Model::forward_embedded`]'s exact hook and kernel sequence at
-/// `seq = 1`, with attention running over the KV history plus the new
-/// row.
-fn step_hidden(
-    model: &Model,
-    ctx: &QuantizedContext,
-    exec: &mut QuantizedExecutor<'_>,
-    kv: &mut dyn KvBacking,
-    mut x: Matrix,
-) -> Matrix {
-    let heads = model.config().heads;
-    let dh = model.config().head_dim();
-    let hidden = model.config().hidden;
-    for (li, layer) in model.layers.iter().enumerate() {
-        let pre = format!("L{li}");
-        // --- Attention (causal over cache + self) ---
-        let input = exec.activation(&format!("{pre}.attn.input"), x);
-        let q = model.linear(exec, &format!("{pre}.attn.wq"), &input, &layer.wq, &layer.bq);
-        let k = model.linear(exec, &format!("{pre}.attn.wk"), &input, &layer.wk, &layer.bk);
-        let v = model.linear(exec, &format!("{pre}.attn.wv"), &input, &layer.wv, &layer.bv);
-        let q = exec.activation(&format!("{pre}.attn.q"), q);
-        let k = exec.activation(&format!("{pre}.attn.k"), k);
-        let v = exec.activation(&format!("{pre}.attn.v"), v);
-        let (k_all, v_all) = kv.extend(ctx, li, exec, &k, &v);
-
-        let len = k_all.rows();
-        let scale = 1.0 / (dh as f32).sqrt();
-        let mut all_probs = Matrix::zeros(heads, len);
-        for hd in 0..heads {
-            let qh = q.slice_cols(hd * dh, dh);
-            let kh = k_all.slice_cols(hd * dh, dh);
-            // Activation × activation GEMM #1: q·K^T over the history.
-            let mut scores = qh.matmul_transposed(&kh).scale(scale);
-            nn::softmax_rows(&mut scores);
-            all_probs.row_mut(hd).copy_from_slice(scores.row(0));
-        }
-        let probs = exec.activation(&format!("{pre}.attn.probs"), all_probs);
-        let mut context = Matrix::zeros(1, hidden);
-        for hd in 0..heads {
-            let vh = v_all.slice_cols(hd * dh, dh);
-            let p = probs.slice_rows(hd, 1);
-            // Activation × activation GEMM #2: p·V over the history.
-            let ctx_h = p.matmul(&vh);
-            context.row_mut(0)[hd * dh..(hd + 1) * dh].copy_from_slice(ctx_h.row(0));
-        }
-        let context = exec.activation(&format!("{pre}.attn.context"), context);
-        let attn_out =
-            model.linear(exec, &format!("{pre}.attn.wo"), &context, &layer.wo, &layer.bo);
-        let mut x1 = attn_out.add(&input);
-        nn::layer_norm(&mut x1, &layer.ln1_gamma, &layer.ln1_beta, 1e-6);
-
-        // --- Feed-forward ---
-        let ffn_in = exec.activation(&format!("{pre}.ffn.input"), x1);
-        let mut mid = model.linear(exec, &format!("{pre}.ffn.w1"), &ffn_in, &layer.w1, &layer.b1);
-        nn::gelu_inplace(&mut mid);
-        let mid = exec.activation(&format!("{pre}.ffn.mid"), mid);
-        let ffn_out = model.linear(exec, &format!("{pre}.ffn.w2"), &mid, &layer.w2, &layer.b2);
-        let mut x2 = ffn_out.add(&ffn_in);
-        nn::layer_norm(&mut x2, &layer.ln2_gamma, &layer.ln2_beta, 1e-6);
-        x = x2;
-    }
-    x
 }
 
 /// Wraps a [`QuantizedExecutor`], recording the float K/V matrices the
@@ -464,6 +398,24 @@ mod tests {
             QuantizedModel::prepare(&model, QuantizeSpec::weights_and_activations(), &profile);
         let ctx = qm.into_context();
         (model, ctx)
+    }
+
+    #[test]
+    fn a_decode_step_is_one_layer_stack_pass_at_one_query_row() {
+        use crate::model::tests::{layer_hooks, HookLog};
+        let (model, _) = decodable();
+        let config = model.config();
+        let (layers, hidden) = (config.layers, config.hidden);
+        // Five cached positions of arbitrary float history per layer.
+        let history = || vec![Matrix::zeros(5, hidden); layers];
+        let (mut k, mut v) = (history(), history());
+        let mut log = HookLog::default();
+        let row = step_pass(&model, &mut log, &mut FloatBacked { k: &mut k, v: &mut v }, 7, 5);
+        assert_eq!(row.shape(), (1, hidden));
+        let expected: Vec<_> = (0..layers).flat_map(|li| layer_hooks(config, li, 1, 6)).collect();
+        assert_eq!(log.0, expected);
+        // The step's own K/V row joined each layer's history.
+        assert!(k.iter().chain(&v).all(|m| m.rows() == 6));
     }
 
     #[test]

@@ -1,7 +1,10 @@
 //! Execution hooks: one forward-pass implementation, three behaviours.
 //!
-//! [`Model::forward`](crate::Model::forward) routes every activation
-//! tensor, weight lookup, and GEMM output through an [`Executor`]:
+//! Every forward — a solo [`Model::forward`](crate::Model::forward)
+//! (a pack of one), a packed batch, and a decode step — runs the one
+//! encoder-layer step in [`crate::model`], which routes every activation
+//! tensor, weight lookup, and GEMM output through an [`Executor`]'s
+//! layout-aware hooks:
 //!
 //! * [`FpExecutor`] — identity hooks: the FP32 reference path.
 //! * [`ProfilingExecutor`] — observes activations and GEMM output ranges
@@ -11,7 +14,9 @@
 //!   replaced by their decoded centroid matrices, and GEMM outputs snap to
 //!   the per-tensor 16-bit fixed-point grid (paper Eq. 7/8). Numerically,
 //!   this is exactly the index-domain datapath — the equivalence is
-//!   property-tested in `mokey-core::kernels`.
+//!   property-tested in `mokey-core::kernels`. Its encode and snap loops
+//!   each exist once, in the layout-aware hooks; the whole-matrix hooks
+//!   call them with [`PackedLayout::whole`].
 
 use crate::model::{Model, TaskOutput};
 use crate::packed::{PackedBatch, PackedLayout};
@@ -24,13 +29,15 @@ use mokey_tensor::Matrix;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-/// Hooks invoked by the shared forward-pass implementation.
+/// Hooks invoked by the shared encoder-layer step.
 ///
 /// All methods default to the identity, so the FP path costs nothing.
-/// The `*_packed` variants receive a [`PackedLayout`] mapping matrix
-/// regions to requests; they default to the un-packed hooks, which is
-/// correct for any executor that neither skips padding nor attributes
-/// work per request (identity and profiling executors).
+/// The model calls only the `*_packed` hooks, which receive a
+/// [`PackedLayout`] mapping matrix regions to requests (a solo forward
+/// and a decode step are packs of one). They default to the whole-matrix
+/// hooks, which is correct for any executor that neither skips padding
+/// nor attributes work per request (identity and profiling executors);
+/// an executor that does both implements the `*_packed` hooks.
 pub trait Executor {
     /// Observes/transforms a named activation tensor before it feeds a
     /// GEMM.
@@ -207,15 +214,15 @@ pub(crate) fn feeding_activations(weight_name: &str) -> Vec<String> {
 /// fragmenting into singletons.
 const PACK_WASTE_LIMIT: f64 = 0.25;
 
-/// How a batch was executed: packed tensor-level groups vs the solo loop,
-/// plus the padding the packs carried.
+/// How a batch was executed: packed tensor-level groups vs requests run
+/// alone, plus the padding the packs carried.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PackStats {
     /// Packed groups executed (each is one tall GEMM per projection).
     pub packed_batches: usize,
     /// Requests served inside packed groups.
     pub packed_requests: usize,
-    /// Requests that fell back to the per-request loop (singletons and
+    /// Requests that ran alone, as a pack of one (singletons and
     /// degenerate sequences).
     pub solo_requests: usize,
     /// Padding rows carried by the packs.
@@ -298,10 +305,10 @@ impl QuantizedContext {
     /// Runs a coalesced batch of requests — the serving engine's batched
     /// path. Requests are grouped by sequence length (shorter requests
     /// may join a longer group while padding stays within
-    /// `PACK_WASTE_LIMIT` (25% per request); each group of two or more runs through the
-    /// packed tensor-level forward pass ([`Model::infer_packed`]), so
+    /// `PACK_WASTE_LIMIT` (25% per request); each group runs through the
+    /// packed tensor-level forward pass ([`Model::forward_packed`]), so
     /// every projection/FFN GEMM executes once per group instead of once
-    /// per sequence. Singletons fall back to the per-request loop.
+    /// per sequence. A singleton is a pack of one.
     ///
     /// Outputs **and per-request counters** are bit-identical to running
     /// each request alone, regardless of grouping — the layout-aware
@@ -339,33 +346,26 @@ impl QuantizedContext {
                 end += 1;
             }
             let group = &order[start..end];
-            if group.len() >= 2 && max_len > 0 {
-                let refs: Vec<&[usize]> = group.iter().map(|&i| batch[i].as_slice()).collect();
-                // The accounted plan IS the executed plan: one
-                // `PackedBatch` drives both the metrics and the forward
-                // pass.
-                let pack = PackedBatch::new(&refs);
+            let refs: Vec<&[usize]> = group.iter().map(|&i| batch[i].as_slice()).collect();
+            // The accounted plan IS the executed plan: one `PackedBatch`
+            // drives both the metrics and the forward pass. A group of
+            // one is a pack of one, accounted as a solo request.
+            let pack = PackedBatch::new(&refs);
+            if group.len() >= 2 {
                 packing.packed_batches += 1;
                 packing.packed_requests += pack.requests();
                 packing.packed_rows += pack.total_rows();
                 packing.pad_rows += pack.pad_rows();
-                let (outs, exec_stats) = self.infer_packed_planned(model, &pack, &refs, mode);
-                // The executor's own counters carry the kernel attribution
-                // the per-request entries don't (their activation counters
-                // sum to the same values).
-                total.merge(&exec_stats);
-                for (&i, pair) in group.iter().zip(outs) {
-                    results[i] = Some(pair);
-                }
             } else {
-                for &i in group {
-                    let mut exec = QuantizedExecutor::with_mode(self, mode);
-                    let out = model.infer(&mut exec, &batch[i]);
-                    let stats = exec.stats();
-                    total.merge(&stats);
-                    packing.solo_requests += 1;
-                    results[i] = Some((out, stats));
-                }
+                packing.solo_requests += 1;
+            }
+            let (outs, exec_stats) = self.infer_packed_planned(model, &pack, &refs, mode);
+            // The executor's own counters carry the kernel attribution the
+            // per-request entries don't (their activation counters sum to
+            // the same values).
+            total.merge(&exec_stats);
+            for (&i, pair) in group.iter().zip(outs) {
+                results[i] = Some(pair);
             }
             start = end;
         }
@@ -381,7 +381,8 @@ impl QuantizedContext {
     ///
     /// # Panics
     ///
-    /// Panics if the batch is empty or contains an empty sequence.
+    /// Panics if the batch is empty, or if a batch of two or more
+    /// contains an empty sequence.
     pub fn infer_packed(
         &self,
         model: &Model,
@@ -530,8 +531,6 @@ pub struct QuantizedExecutor<'a> {
     capture_names: BTreeSet<String>,
     /// Harvested codes, drained via [`QuantizedExecutor::take_captured`].
     captured: BTreeMap<String, CapturedCodes>,
-    /// GEMMs actually served from a pair-LUT (diagnostics/tests).
-    lut_gemms: usize,
     /// Cached kernel choice per GEMM shape `(m, k, n)`: the heuristic is
     /// decided once per shape per executor instead of re-derived on every
     /// call (the executor's `mode` is fixed, so shape alone keys it).
@@ -554,7 +553,6 @@ impl<'a> QuantizedExecutor<'a> {
             act_codes: BTreeMap::new(),
             capture_names: BTreeSet::new(),
             captured: BTreeMap::new(),
-            lut_gemms: 0,
             kernel_choice: BTreeMap::new(),
         }
     }
@@ -579,12 +577,6 @@ impl<'a> QuantizedExecutor<'a> {
         self.stats
     }
 
-    /// How many GEMMs this executor served from pair-LUTs (always zero
-    /// in decoded mode).
-    pub fn lut_gemms(&self) -> usize {
-        self.lut_gemms
-    }
-
     /// Whether this activation's codes must be retained for a following
     /// index-domain GEMM.
     fn retains(&self, name: &str) -> bool {
@@ -607,35 +599,8 @@ impl<'a> QuantizedExecutor<'a> {
 
 impl Executor for QuantizedExecutor<'_> {
     fn activation(&mut self, name: &str, m: Matrix) -> Matrix {
-        let Some(dict) = self.ctx.act_dicts.get(name) else {
-            return m;
-        };
-        let decode = self.ctx.act_decode.get(name).copied().unwrap_or_else(|| DecodeLut::new(dict));
-        let retain = self.retains(name);
-        let capture = self.capture_names.contains(name);
-        let keep = retain || capture;
-        let (rows, cols) = (m.rows(), m.cols());
-        let mut bits = if keep { Vec::with_capacity(rows * cols) } else { Vec::new() };
-        let mut out = m;
-        for v in out.as_mut_slice() {
-            let code = dict.encode_value(*v);
-            self.stats.act_values += 1;
-            if code.is_outlier() {
-                self.stats.act_outliers += 1;
-            }
-            if keep {
-                bits.push(code.to_bits());
-            }
-            *v = decode.value(code);
-        }
-        if capture {
-            let harvest = if retain { bits.clone() } else { std::mem::take(&mut bits) };
-            self.captured.insert(name.to_string(), CapturedCodes { bits: harvest, rows, cols });
-        }
-        if retain {
-            self.act_codes.insert(name.to_string(), ActCodes { bits, rows, cols });
-        }
-        out
+        let layout = PackedLayout::whole(m.rows());
+        self.activation_packed(name, m, &layout)
     }
 
     fn weight_override(&self, name: &str) -> Option<&Matrix> {
@@ -643,33 +608,32 @@ impl Executor for QuantizedExecutor<'_> {
     }
 
     fn gemm_output(&mut self, name: &str, m: Matrix) -> Matrix {
-        let Some(fmt) = self.ctx.out_formats.get(name) else {
-            return m;
-        };
-        let frac = fmt.frac_bits();
-        let mut out = m;
-        for v in out.as_mut_slice() {
-            *v = snap_to_grid(f64::from(*v), frac) as f32;
-        }
-        out
+        let layout = PackedLayout::whole(m.rows());
+        self.gemm_output_packed(name, m, &layout)
     }
 
-    /// Layout-aware activation encoding: only each request's valid region
-    /// is encoded (padding rows pass through raw, and the masked zero
-    /// probabilities beyond a request's true length stay exactly `0.0` so
-    /// the zero-skipping GEMM kernels drop them), and counters are
-    /// attributed to the owning request. Per-element results are exactly
-    /// what [`Executor::activation`] produces in a solo run.
+    fn linear(&mut self, weight_name: &str, x: &Matrix, w: &Matrix, b: &[f32]) -> Option<Matrix> {
+        self.linear_packed(weight_name, x, w, b, &PackedLayout::whole(x.rows()))
+    }
+
+    /// Activation encoding: each value of every request's valid region is
+    /// dictionary-encoded and replaced by its decoded centroid, and the
+    /// counters are attributed to the owning request. Padding rows pass
+    /// through raw, and the masked zero probabilities beyond a request's
+    /// true length stay exactly `0.0` so the zero-skipping GEMM kernels
+    /// drop them. Retained and captured codes mark never-encoded
+    /// elements with [`SKIP_CODE`], which tells the LUT kernel to emit
+    /// their bias rows without decoding anything.
     fn activation_packed(&mut self, name: &str, m: Matrix, layout: &PackedLayout) -> Matrix {
         let Some(dict) = self.ctx.act_dicts.get(name) else {
             return m;
         };
         let decode = self.ctx.act_decode.get(name).copied().unwrap_or_else(|| DecodeLut::new(dict));
         let retain = self.retains(name);
+        let capture = self.capture_names.contains(name);
+        let keep = retain || capture;
         let (rows, width) = (m.rows(), m.cols());
-        // Padding rows are never encoded; the skip sentinel tells the LUT
-        // kernel to emit their bias rows without decoding anything.
-        let mut bits = if retain { vec![SKIP_CODE; rows * width] } else { Vec::new() };
+        let mut bits = if keep { vec![SKIP_CODE; rows * width] } else { Vec::new() };
         let mut out = m;
         let mut deltas = vec![QuantizedStats::default(); layout.regions.len()];
         for (region, delta) in layout.regions.iter().zip(&mut deltas) {
@@ -683,7 +647,7 @@ impl Executor for QuantizedExecutor<'_> {
                         if code.is_outlier() {
                             delta.act_outliers += 1;
                         }
-                        if retain {
+                        if keep {
                             bits[row_base + ci] = code.to_bits();
                         }
                         *v = decode.value(code);
@@ -697,15 +661,19 @@ impl Executor for QuantizedExecutor<'_> {
         for delta in &deltas {
             self.stats.merge(delta);
         }
+        if capture {
+            let harvest = if retain { bits.clone() } else { std::mem::take(&mut bits) };
+            self.captured
+                .insert(name.to_string(), CapturedCodes { bits: harvest, rows, cols: width });
+        }
         if retain {
             self.act_codes.insert(name.to_string(), ActCodes { bits, rows, cols: width });
         }
         out
     }
 
-    /// Layout-aware output snapping: valid regions snap to the Eq. 7
-    /// grid exactly as in solo execution; padding rows are left raw
-    /// (nothing reads them).
+    /// Output snapping: valid regions snap to the Eq. 7 grid; padding
+    /// rows are left raw (nothing reads them).
     fn gemm_output_packed(&mut self, name: &str, m: Matrix, layout: &PackedLayout) -> Matrix {
         let Some(fmt) = self.ctx.out_formats.get(name) else {
             return m;
@@ -736,7 +704,14 @@ impl Executor for QuantizedExecutor<'_> {
     /// [`QuantizedStats`]; it never affects the output bits. Returns
     /// `None` (float fallback) whenever the weight has no retained codes
     /// or the retained activation doesn't match.
-    fn linear(&mut self, weight_name: &str, x: &Matrix, _w: &Matrix, b: &[f32]) -> Option<Matrix> {
+    fn linear_packed(
+        &mut self,
+        weight_name: &str,
+        x: &Matrix,
+        _w: &Matrix,
+        b: &[f32],
+        _layout: &PackedLayout,
+    ) -> Option<Matrix> {
         if self.mode != ExecMode::IndexDomain {
             return None;
         }
@@ -746,7 +721,6 @@ impl Executor for QuantizedExecutor<'_> {
         if stored.rows != x.rows() || stored.cols != x.cols() || k != x.cols() || b.len() != n {
             return None;
         }
-        self.lut_gemms += 1;
         let kernel = *self.kernel_choice.entry((stored.rows, k, n)).or_insert(
             if stored.rows >= COUNTER_MIN_ROWS {
                 LutKernel::CounterArray
@@ -907,6 +881,63 @@ mod tests {
     }
 
     #[test]
+    fn capture_on_a_ragged_pack_matches_each_solo_capture() {
+        use crate::config::ModelConfig;
+        use crate::model::Head;
+        use crate::quantize::QuantizedModel;
+        use crate::QuantizeSpec;
+
+        let config = ModelConfig {
+            name: "exec-capture".into(),
+            layers: 2,
+            hidden: 32,
+            heads: 2,
+            ff: 64,
+            vocab: 200,
+            max_seq: 16,
+        };
+        let model = Model::synthesize(&config, Head::Classification { classes: 3 }, 6);
+        let profile: Vec<Vec<usize>> = (0..2).map(|s| model.random_tokens(12, 40 + s)).collect();
+        let (qm, _) =
+            QuantizedModel::prepare(&model, QuantizeSpec::weights_and_activations(), &profile);
+        let names: Vec<String> =
+            (0..2).flat_map(|li| [format!("L{li}.attn.k"), format!("L{li}.attn.v")]).collect();
+        let batch: Vec<Vec<usize>> = [12usize, 9, 11]
+            .iter()
+            .enumerate()
+            .map(|(i, &len)| model.random_tokens(len, 600 + i as u64))
+            .collect();
+        let refs: Vec<&[usize]> = batch.iter().map(Vec::as_slice).collect();
+        let pack = PackedBatch::new(&refs);
+        for mode in [ExecMode::Decoded, ExecMode::IndexDomain] {
+            let mut packed = QuantizedExecutor::with_mode(qm.context(), mode);
+            packed.capture(names.clone());
+            let _ = model.forward_packed(&mut packed, &pack, &refs);
+            let mut solos: Vec<QuantizedExecutor<'_>> = refs
+                .iter()
+                .map(|tokens| {
+                    let mut solo = QuantizedExecutor::with_mode(qm.context(), mode);
+                    solo.capture(names.clone());
+                    let _ = model.forward(&mut solo, tokens);
+                    solo
+                })
+                .collect();
+            for name in &names {
+                let got = packed.take_captured(name).expect("packed forward captures");
+                assert_eq!((got.rows, got.cols), (pack.total_rows(), config.hidden));
+                for (bi, solo) in solos.iter_mut().enumerate() {
+                    let want = solo.take_captured(name).expect("solo forward captures");
+                    let (base, len, w) = (pack.row_of(bi), pack.len_of(bi), got.cols);
+                    assert_eq!(&got.bits[base * w..(base + len) * w], want.bits.as_slice());
+                    // Padding rows were never encoded.
+                    let pad = &got.bits[(base + len) * w..(base + pack.seq()) * w];
+                    assert!(pad.iter().all(|&b| b == SKIP_CODE), "{name} request {bi}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn index_domain_solo_is_bit_identical_and_actually_uses_luts() {
         use crate::config::ModelConfig;
         use crate::model::Head;
@@ -932,15 +963,13 @@ mod tests {
         let mut exec = QuantizedExecutor::with_mode(qm.context(), ExecMode::IndexDomain);
         let hidden = model.forward(&mut exec, &tokens);
         let out = model.apply_head(&mut exec, &hidden);
-        // Every retained GEMM ran on codes — nothing fell back.
-        assert_eq!(exec.lut_gemms(), 2 * 6 + 2);
-        // Kernel attribution: the 11-row layer GEMMs take the counter-array
-        // panel kernel, the one-row head GEMMs take the pair-LUT row
-        // kernel, and together they account for every LUT GEMM.
+        // Every retained GEMM ran on codes — nothing fell back: the 11-row
+        // layer GEMMs take the counter-array panel kernel and the one-row
+        // head GEMMs take the pair-LUT row kernel.
         let stats = exec.stats();
+        assert_eq!(stats.counter_array_gemms + stats.pair_lut_gemms, 2 * 6 + 2);
         assert_eq!(stats.counter_array_gemms, 2 * 6);
         assert_eq!(stats.pair_lut_gemms, 2);
-        assert_eq!(stats.counter_array_gemms + stats.pair_lut_gemms, exec.lut_gemms());
         let (decoded_out, decoded_stats) = qm.infer(&tokens);
         assert_eq!(out, decoded_out);
         assert_eq!(exec.stats(), decoded_stats);
@@ -1011,7 +1040,7 @@ mod tests {
         let mut exec = QuantizedExecutor::with_mode(qm.context(), ExecMode::IndexDomain);
         let hidden = model.forward(&mut exec, &tokens);
         let out = model.apply_head(&mut exec, &hidden);
-        assert_eq!(exec.lut_gemms(), 0);
+        assert_eq!(exec.stats().counter_array_gemms + exec.stats().pair_lut_gemms, 0);
         assert_eq!(out, qm.infer(&tokens).0);
     }
 

@@ -64,6 +64,23 @@ pub struct EncoderLayer {
     pub ln2_beta: Vec<f32>,
 }
 
+/// Where an encoder layer's attention keys and values come from.
+pub(crate) trait KvSource<E: ?Sized> {
+    /// Given layer `li`'s freshly encoded K/V rows (laid out like the
+    /// pack's queries), returns the `(B·W) × hidden` K and V matrices the
+    /// layer attends over (see [`PackedBatch`]).
+    fn keys_values(&mut self, li: usize, exec: &mut E, k: Matrix, v: Matrix) -> (Matrix, Matrix);
+}
+
+/// An encoder pass attends over the pack's own rows.
+struct OwnRows;
+
+impl<E: ?Sized> KvSource<E> for OwnRows {
+    fn keys_values(&mut self, _li: usize, _exec: &mut E, k: Matrix, v: Matrix) -> (Matrix, Matrix) {
+        (k, v)
+    }
+}
+
 /// A complete synthetic model: embeddings, encoder stack, task head.
 ///
 /// # Example
@@ -177,47 +194,32 @@ impl Model {
         self.head
     }
 
-    /// Embeds a token sequence (token + position embeddings, layer norm).
+    /// Embeds a packed batch (token + position embeddings, layer norm):
+    /// request `i`'s tokens occupy rows `[i·S, i·S + len_i)` of a
+    /// `(B·S) × hidden` matrix at positions starting from its attention
+    /// history ([`PackedBatch::past_of`]). Padding rows stay zero — layer
+    /// norm turns them into harmless constants and nothing ever reads
+    /// them back.
     ///
     /// # Panics
     ///
-    /// Panics if a token id is out of vocabulary or the sequence exceeds
-    /// `max_seq`.
-    pub fn embed(&self, tokens: &[usize]) -> Matrix {
-        assert!(tokens.len() <= self.config.max_seq, "sequence too long");
-        let h = self.config.hidden;
-        let mut x = Matrix::zeros(tokens.len(), h);
-        for (i, &t) in tokens.iter().enumerate() {
-            assert!(t < self.config.vocab, "token {t} out of vocabulary");
-            let emb = self.token_embedding.row(t);
-            let pos = self.position_embedding.row(i);
-            let row = x.row_mut(i);
-            for j in 0..h {
-                row[j] = emb[j] + pos[j];
+    /// Panics on out-of-vocabulary tokens, positions beyond `max_seq`, or
+    /// a batch that does not match `pack`.
+    pub fn embed(&self, pack: &PackedBatch, batch: &[&[usize]]) -> Matrix {
+        assert_eq!(batch.len(), pack.requests(), "batch does not match pack");
+        let mut x = Matrix::zeros(pack.total_rows(), self.config.hidden);
+        for (bi, tokens) in batch.iter().enumerate() {
+            assert_eq!(tokens.len(), pack.len_of(bi), "batch does not match pack");
+            let start = pack.past_of(bi);
+            assert!(start + tokens.len() <= self.config.max_seq, "sequence too long");
+            for (i, &t) in tokens.iter().enumerate() {
+                assert!(t < self.config.vocab, "token {t} out of vocabulary");
+                let emb = self.token_embedding.row(t);
+                let pos = self.position_embedding.row(start + i);
+                for ((o, &e), &p) in x.row_mut(pack.row_of(bi) + i).iter_mut().zip(emb).zip(pos) {
+                    *o = e + p;
+                }
             }
-        }
-        nn::layer_norm(&mut x, &self.emb_ln_gamma, &self.emb_ln_beta, 1e-6);
-        x
-    }
-
-    /// Embeds one token at an absolute position as a `1 × hidden` row.
-    /// Layer norm is per-row, so this is bit-identical to the matching
-    /// row of [`Model::embed`] — the incremental decode path's embedding.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the token is out of vocabulary or the position is at or
-    /// beyond `max_seq`.
-    pub fn embed_one(&self, token: usize, pos: usize) -> Matrix {
-        assert!(pos < self.config.max_seq, "position {pos} beyond max_seq");
-        assert!(token < self.config.vocab, "token {token} out of vocabulary");
-        let h = self.config.hidden;
-        let mut x = Matrix::zeros(1, h);
-        let emb = self.token_embedding.row(token);
-        let pe = self.position_embedding.row(pos);
-        let row = x.row_mut(0);
-        for j in 0..h {
-            row[j] = emb[j] + pe[j];
         }
         nn::layer_norm(&mut x, &self.emb_ln_gamma, &self.emb_ln_beta, 1e-6);
         x
@@ -225,130 +227,24 @@ impl Model {
 
     /// Full forward pass through the encoder stack, with every GEMM input,
     /// GEMM output, and weight routed through the [`Executor`] hooks.
-    /// Returns the final hidden states (`seq × hidden`).
+    /// Returns the final hidden states (`seq × hidden`). This is
+    /// [`Model::forward_packed`] over a pack of one.
     pub fn forward(&self, exec: &mut dyn Executor, tokens: &[usize]) -> Matrix {
-        let x = self.embed(tokens);
-        self.forward_embedded(exec, x)
+        let batch = [tokens];
+        self.forward_packed(exec, &PackedBatch::new(&batch), &batch)
     }
 
-    /// Forward pass from pre-embedded inputs.
-    pub fn forward_embedded(&self, exec: &mut dyn Executor, mut x: Matrix) -> Matrix {
-        let heads = self.config.heads;
-        let dh = self.config.head_dim();
-        for (li, layer) in self.layers.iter().enumerate() {
-            let pre = format!("L{li}");
-            // --- Attention ---
-            let input = exec.activation(&format!("{pre}.attn.input"), x.clone());
-            let q = self.linear(exec, &format!("{pre}.attn.wq"), &input, &layer.wq, &layer.bq);
-            let k = self.linear(exec, &format!("{pre}.attn.wk"), &input, &layer.wk, &layer.bk);
-            let v = self.linear(exec, &format!("{pre}.attn.wv"), &input, &layer.wv, &layer.bv);
-            let q = exec.activation(&format!("{pre}.attn.q"), q);
-            let k = exec.activation(&format!("{pre}.attn.k"), k);
-            let v = exec.activation(&format!("{pre}.attn.v"), v);
-
-            let seq = x.rows();
-            let mut context = Matrix::zeros(seq, self.config.hidden);
-            let scale = 1.0 / (dh as f32).sqrt();
-            let mut all_probs = Matrix::zeros(seq * heads, seq);
-            for hd in 0..heads {
-                let qh = q.slice_cols(hd * dh, dh);
-                let kh = k.slice_cols(hd * dh, dh);
-                // Activation × activation GEMM #1: Q·K^T.
-                let mut scores = qh.matmul_transposed(&kh).scale(scale);
-                nn::softmax_rows(&mut scores);
-                for r in 0..seq {
-                    all_probs.row_mut(hd * seq + r).copy_from_slice(scores.row(r));
-                }
-            }
-            let probs = exec.activation(&format!("{pre}.attn.probs"), all_probs);
-            for hd in 0..heads {
-                let vh = v.slice_cols(hd * dh, dh);
-                let scores = probs.slice_rows(hd * seq, seq);
-                // Activation × activation GEMM #2: P·V.
-                let ctx_h = scores.matmul(&vh);
-                for r in 0..seq {
-                    context.row_mut(r)[hd * dh..(hd + 1) * dh].copy_from_slice(ctx_h.row(r));
-                }
-            }
-            let context = exec.activation(&format!("{pre}.attn.context"), context);
-            let attn_out =
-                self.linear(exec, &format!("{pre}.attn.wo"), &context, &layer.wo, &layer.bo);
-            let mut x1 = attn_out.add(&input);
-            nn::layer_norm(&mut x1, &layer.ln1_gamma, &layer.ln1_beta, 1e-6);
-
-            // --- Feed-forward ---
-            let ffn_in = exec.activation(&format!("{pre}.ffn.input"), x1);
-            let mut mid =
-                self.linear(exec, &format!("{pre}.ffn.w1"), &ffn_in, &layer.w1, &layer.b1);
-            nn::gelu_inplace(&mut mid);
-            let mid = exec.activation(&format!("{pre}.ffn.mid"), mid);
-            let ffn_out = self.linear(exec, &format!("{pre}.ffn.w2"), &mid, &layer.w2, &layer.b2);
-            let mut x2 = ffn_out.add(&ffn_in);
-            nn::layer_norm(&mut x2, &layer.ln2_gamma, &layer.ln2_beta, 1e-6);
-            x = x2;
-        }
-        x
-    }
-
-    /// Applies the task head to final hidden states.
+    /// Applies the task head to final hidden states ([`Model::forward`]'s
+    /// output) — [`Model::apply_head_packed`] over a pack of one.
     pub fn apply_head(&self, exec: &mut dyn Executor, hidden: &Matrix) -> TaskOutput {
-        match self.head {
-            Head::Classification { .. } | Head::Regression => {
-                let cls = hidden.slice_rows(0, 1);
-                let cls = exec.activation("head.cls", cls);
-                let mut pooled =
-                    self.linear(exec, "head.pooler", &cls, &self.pooler_w, &self.pooler_b);
-                nn::tanh_inplace(&mut pooled);
-                let pooled = exec.activation("head.pooled", pooled);
-                let logits = self.linear(exec, "head.proj", &pooled, &self.head_w, &self.head_b);
-                match self.head {
-                    Head::Classification { .. } => TaskOutput::Logits(logits.row(0).to_vec()),
-                    _ => TaskOutput::Score(logits[(0, 0)]),
-                }
-            }
-            Head::Span => {
-                let hs = exec.activation("head.span_input", hidden.clone());
-                let logits = self.linear(exec, "head.proj", &hs, &self.head_w, &self.head_b);
-                TaskOutput::Span(logits.col(0), logits.col(1))
-            }
-        }
+        let pack = PackedBatch::with_history(vec![hidden.rows()], vec![0]);
+        self.apply_head_packed(exec, hidden, &pack).pop().expect("one output per request")
     }
 
     /// Convenience: forward + head in one call.
     pub fn infer(&self, exec: &mut dyn Executor, tokens: &[usize]) -> TaskOutput {
         let hidden = self.forward(exec, tokens);
         self.apply_head(exec, &hidden)
-    }
-
-    /// Embeds a packed batch: request `i` occupies rows
-    /// `[i·S, i·S + len_i)` of a `(B·S) × hidden` matrix (`S` = longest
-    /// sequence). Padding rows stay zero — layer norm turns them into
-    /// harmless constants and nothing ever reads them back.
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-vocabulary tokens, over-long sequences, or a
-    /// batch that does not match `pack`.
-    pub fn embed_packed(&self, pack: &PackedBatch, batch: &[&[usize]]) -> Matrix {
-        assert_eq!(batch.len(), pack.requests(), "batch does not match pack");
-        assert!(pack.seq() <= self.config.max_seq, "sequence too long");
-        let h = self.config.hidden;
-        let mut x = Matrix::zeros(pack.total_rows(), h);
-        for (bi, tokens) in batch.iter().enumerate() {
-            assert_eq!(tokens.len(), pack.len_of(bi), "batch does not match pack");
-            let base = pack.row_of(bi);
-            for (i, &t) in tokens.iter().enumerate() {
-                assert!(t < self.config.vocab, "token {t} out of vocabulary");
-                let emb = self.token_embedding.row(t);
-                let pos = self.position_embedding.row(i);
-                let row = x.row_mut(base + i);
-                for j in 0..h {
-                    row[j] = emb[j] + pos[j];
-                }
-            }
-        }
-        nn::layer_norm(&mut x, &self.emb_ln_gamma, &self.emb_ln_beta, 1e-6);
-        x
     }
 
     /// Packed forward pass: one `(B·S) × hidden` activation matrix runs
@@ -358,97 +254,77 @@ impl Model {
     /// softmax, P·V) instead of per sequence. Padded key positions are
     /// driven to `−∞` before the softmax, so masked probabilities are
     /// exactly `0.0` and padded value rows contribute nothing. Each
-    /// request's valid rows are bit-identical to its solo
-    /// [`Model::forward`] (see the [`packed`](crate::packed) module docs
-    /// for why).
+    /// request's valid rows are what it computes alone (see the
+    /// [`packed`](crate::packed) module docs for why).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pack` carries attention history (a decode step's keys
+    /// come from its KV cache, not from the pack).
     pub fn forward_packed(
         &self,
         exec: &mut dyn Executor,
         pack: &PackedBatch,
         batch: &[&[usize]],
     ) -> Matrix {
+        assert_eq!(pack.kv_width(), pack.seq(), "an encoder pass has no attention history");
+        let x = self.embed(pack, batch);
+        self.encoder_stack(exec, pack, x, &mut OwnRows)
+    }
+
+    /// The encoder layer stack — the one layer body every forward runs:
+    /// encoder packs (a solo forward is a pack of one) and decode steps
+    /// (one query row per request over its KV history, supplied by `kv`).
+    pub(crate) fn encoder_stack<E: Executor + ?Sized>(
+        &self,
+        exec: &mut E,
+        pack: &PackedBatch,
+        mut x: Matrix,
+        kv: &mut dyn KvSource<E>,
+    ) -> Matrix {
         let heads = self.config.heads;
         let dh = self.config.head_dim();
-        let rows_layout = pack.rows_layout();
+        let scale = 1.0 / (dh as f32).sqrt();
+        let rows = pack.rows_layout();
         let probs_layout = pack.probs_layout(heads);
-        let mut x = self.embed_packed(pack, batch);
         for (li, layer) in self.layers.iter().enumerate() {
             let pre = format!("L{li}");
             // --- Attention ---
-            let input = exec.activation_packed(&format!("{pre}.attn.input"), x, &rows_layout);
-            let q = self.linear_packed(
-                exec,
-                &format!("{pre}.attn.wq"),
-                &input,
-                &layer.wq,
-                &layer.bq,
-                &rows_layout,
-            );
-            let k = self.linear_packed(
-                exec,
-                &format!("{pre}.attn.wk"),
-                &input,
-                &layer.wk,
-                &layer.bk,
-                &rows_layout,
-            );
-            let v = self.linear_packed(
-                exec,
-                &format!("{pre}.attn.wv"),
-                &input,
-                &layer.wv,
-                &layer.bv,
-                &rows_layout,
-            );
-            let q = exec.activation_packed(&format!("{pre}.attn.q"), q, &rows_layout);
-            let k = exec.activation_packed(&format!("{pre}.attn.k"), k, &rows_layout);
-            let v = exec.activation_packed(&format!("{pre}.attn.v"), v, &rows_layout);
+            let input = exec.activation_packed(&format!("{pre}.attn.input"), x, &rows);
+            let q =
+                self.linear(exec, &format!("{pre}.attn.wq"), &input, &layer.wq, &layer.bq, &rows);
+            let k =
+                self.linear(exec, &format!("{pre}.attn.wk"), &input, &layer.wk, &layer.bk, &rows);
+            let v =
+                self.linear(exec, &format!("{pre}.attn.wv"), &input, &layer.wv, &layer.bv, &rows);
+            let q = exec.activation_packed(&format!("{pre}.attn.q"), q, &rows);
+            let k = exec.activation_packed(&format!("{pre}.attn.k"), k, &rows);
+            let v = exec.activation_packed(&format!("{pre}.attn.v"), v, &rows);
+            let (k, v) = kv.keys_values(li, exec, k, v);
 
-            let scale = 1.0 / (dh as f32).sqrt();
             // Fused block-diagonal attention: one region-strided kernel
             // invocation per stage — Q·K^T with the padding mask, one
             // softmax over the whole (request-major, then head-major)
-            // probability matrix, then P·V — instead of `B·heads` small
-            // GEMMs over `slice_block` copies. Bit-identical to the
-            // per-sequence path (see `packed::fused_attention_scores`).
-            let mut all_probs = fused_attention_scores(&q, &k, pack, heads, dh, scale);
-            nn::softmax_rows(&mut all_probs);
-            let probs =
-                exec.activation_packed(&format!("{pre}.attn.probs"), all_probs, &probs_layout);
+            // probability matrix, then P·V — bit-identical to the
+            // per-sequence formulation (see `packed::fused_attention_scores`).
+            let mut probs = fused_attention_scores(&q, &k, pack, heads, dh, scale);
+            nn::softmax_rows(&mut probs);
+            let probs = exec.activation_packed(&format!("{pre}.attn.probs"), probs, &probs_layout);
             let context = fused_attention_context(&probs, &v, pack, heads, dh, self.config.hidden);
-            let context =
-                exec.activation_packed(&format!("{pre}.attn.context"), context, &rows_layout);
-            let attn_out = self.linear_packed(
-                exec,
-                &format!("{pre}.attn.wo"),
-                &context,
-                &layer.wo,
-                &layer.bo,
-                &rows_layout,
-            );
+            let context = exec.activation_packed(&format!("{pre}.attn.context"), context, &rows);
+            let attn_out =
+                self.linear(exec, &format!("{pre}.attn.wo"), &context, &layer.wo, &layer.bo, &rows);
             let mut x1 = attn_out.add(&input);
             nn::layer_norm(&mut x1, &layer.ln1_gamma, &layer.ln1_beta, 1e-6);
 
             // --- Feed-forward ---
-            let ffn_in = exec.activation_packed(&format!("{pre}.ffn.input"), x1, &rows_layout);
-            let mut mid = self.linear_packed(
-                exec,
-                &format!("{pre}.ffn.w1"),
-                &ffn_in,
-                &layer.w1,
-                &layer.b1,
-                &rows_layout,
-            );
+            let ffn_in = exec.activation_packed(&format!("{pre}.ffn.input"), x1, &rows);
+            let mut mid =
+                self.linear(exec, &format!("{pre}.ffn.w1"), &ffn_in, &layer.w1, &layer.b1, &rows);
             nn::gelu_inplace(&mut mid);
-            let mid = exec.activation_packed(&format!("{pre}.ffn.mid"), mid, &rows_layout);
-            let ffn_out = self.linear_packed(
-                exec,
-                &format!("{pre}.ffn.w2"),
-                &mid,
-                &layer.w2,
-                &layer.b2,
-                &rows_layout,
-            );
+            let mid = exec.activation_packed(&format!("{pre}.ffn.mid"), mid, &rows);
+            let ffn_out =
+                self.linear(exec, &format!("{pre}.ffn.w2"), &mid, &layer.w2, &layer.b2, &rows);
             let mut x2 = ffn_out.add(&ffn_in);
             nn::layer_norm(&mut x2, &layer.ln2_gamma, &layer.ln2_beta, 1e-6);
             x = x2;
@@ -473,7 +349,7 @@ impl Model {
                     cls.row_mut(bi).copy_from_slice(hidden.row(pack.row_of(bi)));
                 }
                 let cls = exec.activation_packed("head.cls", cls, &cls_layout);
-                let mut pooled = self.linear_packed(
+                let mut pooled = self.linear(
                     exec,
                     "head.pooler",
                     &cls,
@@ -483,7 +359,7 @@ impl Model {
                 );
                 nn::tanh_inplace(&mut pooled);
                 let pooled = exec.activation_packed("head.pooled", pooled, &cls_layout);
-                let logits = self.linear_packed(
+                let logits = self.linear(
                     exec,
                     "head.proj",
                     &pooled,
@@ -499,16 +375,9 @@ impl Model {
                     .collect()
             }
             Head::Span => {
-                let rows_layout = pack.rows_layout();
-                let hs = exec.activation_packed("head.span_input", hidden.clone(), &rows_layout);
-                let logits = self.linear_packed(
-                    exec,
-                    "head.proj",
-                    &hs,
-                    &self.head_w,
-                    &self.head_b,
-                    &rows_layout,
-                );
+                let rows = pack.rows_layout();
+                let hs = exec.activation_packed("head.span_input", hidden.clone(), &rows);
+                let logits = self.linear(exec, "head.proj", &hs, &self.head_w, &self.head_b, &rows);
                 (0..nb)
                     .map(|bi| {
                         let base = pack.row_of(bi);
@@ -528,8 +397,8 @@ impl Model {
     ///
     /// # Panics
     ///
-    /// Panics if the batch is empty or contains an empty sequence — the
-    /// caller routes those through the solo path.
+    /// Panics if the batch is empty, or if a batch of two or more
+    /// contains an empty sequence.
     pub fn infer_packed(&self, exec: &mut dyn Executor, batch: &[&[usize]]) -> Vec<TaskOutput> {
         let pack = PackedBatch::new(batch);
         let hidden = self.forward_packed(exec, &pack, batch);
@@ -537,35 +406,14 @@ impl Model {
     }
 
     /// One fused GEMM + bias ([`nn::linear`]), routed through the
-    /// executor: the weight may be substituted (quantized), the input
-    /// transformed, and the output snapped to a fixed-point grid.
-    /// Crate-visible so the incremental decode step
-    /// ([`crate::decode`]) routes its projections through the exact
-    /// same hook sequence as [`Model::forward_embedded`].
-    pub(crate) fn linear(
+    /// executor: the weight may be substituted (quantized), the GEMM
+    /// served by the executor itself (index domain), and the output
+    /// snapped to a fixed-point grid. `layout` maps the rows of `x` to
+    /// requests, so padding rows are skipped and work is attributed per
+    /// request.
+    fn linear<E: Executor + ?Sized>(
         &self,
-        exec: &mut dyn Executor,
-        weight_name: &str,
-        x: &Matrix,
-        w: &Matrix,
-        b: &[f32],
-    ) -> Matrix {
-        let out = match exec.linear(weight_name, x, w, b) {
-            Some(out) => out,
-            None => {
-                let w_eff = exec.weight_override(weight_name).unwrap_or(w);
-                nn::linear(x, w_eff, b)
-            }
-        };
-        exec.gemm_output(weight_name, out)
-    }
-
-    /// Packed-batch variant of [`Model::linear`]: same fused GEMM, with
-    /// the output snap routed through the layout-aware hook so padding
-    /// rows are skipped and work is attributed per request.
-    fn linear_packed(
-        &self,
-        exec: &mut dyn Executor,
+        exec: &mut E,
         weight_name: &str,
         x: &Matrix,
         w: &Matrix,
@@ -611,9 +459,96 @@ impl Model {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::exec::FpExecutor;
+
+    /// One hook call: hook kind, tensor name, and matrix shape (for
+    /// `linear`, the GEMM's output shape).
+    pub(crate) type HookCall = (&'static str, String, usize, usize);
+
+    /// An identity executor that logs every hook the model calls.
+    #[derive(Default)]
+    pub(crate) struct HookLog(pub(crate) Vec<HookCall>);
+
+    impl Executor for HookLog {
+        fn activation(&mut self, name: &str, m: Matrix) -> Matrix {
+            self.0.push(("act", name.to_string(), m.rows(), m.cols()));
+            m
+        }
+
+        fn gemm_output(&mut self, name: &str, m: Matrix) -> Matrix {
+            self.0.push(("snap", name.to_string(), m.rows(), m.cols()));
+            m
+        }
+
+        fn linear(&mut self, name: &str, x: &Matrix, w: &Matrix, _b: &[f32]) -> Option<Matrix> {
+            self.0.push(("linear", name.to_string(), x.rows(), w.cols()));
+            None
+        }
+    }
+
+    /// The hooks one encoder layer calls for `n` query rows attending
+    /// over `width` key positions. These names are the stage boundaries
+    /// the benchmark's traced replay keys its stage accounting on
+    /// (`L0.attn.input` ends the embedding, `.attn.probs`/`.attn.context`
+    /// end attention, `.attn.input`/`.ffn.input` end a layer norm,
+    /// `.ffn.mid` ends GELU), so they must not drift.
+    pub(crate) fn layer_hooks(
+        config: &ModelConfig,
+        li: usize,
+        n: usize,
+        width: usize,
+    ) -> Vec<HookCall> {
+        let (h, ff) = (config.hidden, config.ff);
+        let act = |name: &str, rows, cols| ("act", format!("L{li}.{name}"), rows, cols);
+        let gemm = |name: &str, cols| {
+            [
+                ("linear", format!("L{li}.{name}"), n, cols),
+                ("snap", format!("L{li}.{name}"), n, cols),
+            ]
+        };
+        let mut calls = vec![act("attn.input", n, h)];
+        calls.extend(gemm("attn.wq", h));
+        calls.extend(gemm("attn.wk", h));
+        calls.extend(gemm("attn.wv", h));
+        calls.extend([act("attn.q", n, h), act("attn.k", n, h), act("attn.v", n, h)]);
+        calls.extend([act("attn.probs", config.heads * n, width), act("attn.context", n, h)]);
+        calls.extend(gemm("attn.wo", h));
+        calls.push(act("ffn.input", n, h));
+        calls.extend(gemm("ffn.w1", ff));
+        calls.push(act("ffn.mid", n, ff));
+        calls.extend(gemm("ffn.w2", h));
+        calls
+    }
+
+    #[test]
+    fn solo_and_pack_of_one_emit_the_same_hook_sequence() {
+        let (config, model) = tiny();
+        let tokens = model.random_tokens(9, 12);
+        let mut solo = HookLog::default();
+        let hidden = model.forward(&mut solo, &tokens);
+        let _ = model.apply_head(&mut solo, &hidden);
+        let mut packed = HookLog::default();
+        let batch = [tokens.as_slice()];
+        let pack = PackedBatch::new(&batch);
+        let hidden = model.forward_packed(&mut packed, &pack, &batch);
+        let _ = model.apply_head_packed(&mut packed, &hidden, &pack);
+        assert_eq!(solo.0, packed.0);
+
+        let mut expected: Vec<HookCall> =
+            (0..config.layers).flat_map(|li| layer_hooks(&config, li, 9, 9)).collect();
+        let h = config.hidden;
+        expected.extend([
+            ("act", "head.cls".to_string(), 1, h),
+            ("linear", "head.pooler".to_string(), 1, h),
+            ("snap", "head.pooler".to_string(), 1, h),
+            ("act", "head.pooled".to_string(), 1, h),
+            ("linear", "head.proj".to_string(), 1, 3),
+            ("snap", "head.proj".to_string(), 1, 3),
+        ]);
+        assert_eq!(solo.0, expected);
+    }
 
     fn tiny() -> (ModelConfig, Model) {
         let config = ModelConfig {
@@ -699,9 +634,18 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "no attention history")]
+    fn forward_packed_rejects_a_decode_step_pack() {
+        let (_, model) = tiny();
+        let batch: [&[usize]; 1] = [&[3]];
+        let _ = model.forward_packed(&mut FpExecutor, &PackedBatch::decode_step(&[4]), &batch);
+    }
+
+    #[test]
     #[should_panic(expected = "out of vocabulary")]
     fn oov_token_panics() {
         let (_, model) = tiny();
-        let _ = model.embed(&[10_000]);
+        let batch: [&[usize]; 1] = [&[10_000]];
+        let _ = model.embed(&PackedBatch::new(&batch), &batch);
     }
 }

@@ -22,30 +22,63 @@
 //! Padded *query* rows do flow through the arithmetic (they attend over
 //! real keys and produce well-defined garbage), but nothing reads them:
 //! they are skipped at unpack, never encoded, and never feed a real row.
+//!
+//! The same plan describes a decode step ([`PackedBatch::decode_step`]):
+//! one query row per request whose keys and values are its cached
+//! history plus itself, so a solo forward (a pack of one), a packed
+//! batch, and a decode step all run one encoder-layer implementation.
 
 use mokey_tensor::{dot_wide, Matrix};
 
-/// Shape bookkeeping for one packed batch: per-request true lengths plus
-/// the common padded length.
+/// Shape bookkeeping for one packed batch: per-request query lengths,
+/// per-request attention history, and the common padded length.
+///
+/// Request `i` owns query rows `[i·S, i·S + len_i)` of a packed
+/// `(B·S) × _` activation matrix (`S` = longest query length) and
+/// attends over `past_i + len_i` key/value rows, laid out at
+/// `[i·W, i·W + past_i + len_i)` of a `(B·W) × hidden` K/V matrix
+/// (`W` = [`PackedBatch::kv_width`]). An encoder pass has no history, so
+/// `W = S` and the keys are the pack's own rows; a decode step
+/// ([`PackedBatch::decode_step`]) is one query row per request over its
+/// cached positions plus itself.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PackedBatch {
     lens: Vec<usize>,
+    past: Vec<usize>,
     seq: usize,
+    width: usize,
 }
 
 impl PackedBatch {
     /// Plans the packing of `batch` (padded to the longest sequence).
+    /// A lone empty sequence is a zero-row pack.
     ///
     /// # Panics
     ///
-    /// Panics if the batch is empty or contains an empty sequence —
-    /// callers route degenerate requests through the solo path.
+    /// Panics if the batch is empty, or if a batch of two or more
+    /// contains an empty sequence (its padding query rows would attend
+    /// over no keys).
     pub fn new<T: AsRef<[usize]>>(batch: &[T]) -> Self {
-        assert!(!batch.is_empty(), "cannot pack an empty batch");
-        let lens: Vec<usize> = batch.iter().map(|t| t.as_ref().len()).collect();
-        assert!(lens.iter().all(|&l| l > 0), "cannot pack an empty sequence");
+        Self::with_history(batch.iter().map(|t| t.as_ref().len()).collect(), vec![0; batch.len()])
+    }
+
+    /// Plans one decode step: request `i` is a single new row attending
+    /// over its `history[i]` cached positions plus itself.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `history` is empty.
+    pub fn decode_step(history: &[usize]) -> Self {
+        Self::with_history(vec![1; history.len()], history.to_vec())
+    }
+
+    /// Query lengths `lens` over `past` positions of attention history.
+    pub(crate) fn with_history(lens: Vec<usize>, past: Vec<usize>) -> Self {
+        assert!(!lens.is_empty(), "cannot pack an empty batch");
+        assert!(lens.len() == 1 || lens.iter().all(|&l| l > 0), "cannot pack an empty sequence");
         let seq = lens.iter().copied().max().unwrap_or(0);
-        Self { lens, seq }
+        let width = lens.iter().zip(&past).map(|(l, p)| l + p).max().unwrap_or(0);
+        Self { lens, past, seq, width }
     }
 
     /// Number of requests in the pack.
@@ -66,6 +99,18 @@ impl PackedBatch {
     /// Row offset of request `i` inside a packed `(B·S) × _` matrix.
     pub fn row_of(&self, i: usize) -> usize {
         i * self.seq
+    }
+
+    /// Cached positions request `i` attends over before its own rows
+    /// (its first token's position).
+    pub fn past_of(&self, i: usize) -> usize {
+        self.past[i]
+    }
+
+    /// Key/value rows per request in a packed K/V matrix and columns of
+    /// the attention-probability matrix: the longest `past + len`.
+    pub fn kv_width(&self) -> usize {
+        self.width
     }
 
     /// Total rows of a packed activation matrix (`B · S`).
@@ -103,22 +148,25 @@ impl PackedBatch {
     }
 
     /// Layout of the packed attention-probability matrix
-    /// (`(B·heads·S) × S`, request-major then head-major): request `i`
+    /// (`(B·heads·S) × W`, request-major then head-major): request `i`
     /// owns `heads` blocks of its true length, and only its first
-    /// `len` columns are real probabilities (the rest are masked zeros,
-    /// which must stay exactly `0.0`).
+    /// `past + len` columns are real probabilities (the rest are masked
+    /// zeros, which must stay exactly `0.0`).
     pub fn probs_layout(&self, heads: usize) -> PackedLayout {
         PackedLayout {
-            regions: self
-                .lens
-                .iter()
-                .enumerate()
-                .map(|(i, &len)| Region {
-                    row_blocks: (0..heads).map(|hd| ((i * heads + hd) * self.seq, len)).collect(),
-                    cols: Some(len),
+            regions: (0..self.lens.len())
+                .map(|i| Region {
+                    row_blocks: (0..heads)
+                        .map(|hd| ((i * heads + hd) * self.seq, self.lens[i]))
+                        .collect(),
+                    cols: Some(self.kv_len(i)),
                 })
                 .collect(),
         }
+    }
+
+    fn kv_len(&self, i: usize) -> usize {
+        self.past[i] + self.lens[i]
     }
 
     /// Layout of a per-request-row matrix (`B × width`), e.g. the gathered
@@ -140,6 +188,13 @@ pub struct PackedLayout {
     pub regions: Vec<Region>,
 }
 
+impl PackedLayout {
+    /// One request owning every row and column of a `rows × _` matrix.
+    pub fn whole(rows: usize) -> Self {
+        Self { regions: vec![Region { row_blocks: vec![(0, rows)], cols: None }] }
+    }
+}
+
 /// The part of a packed matrix owned by one request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Region {
@@ -151,17 +206,19 @@ pub struct Region {
 
 /// Fused block-diagonal `Q·K^T` over a packed batch: one region-strided
 /// pass producing the scaled, padding-masked score matrix
-/// (`(B·heads·S) × S`, request-major then head-major) directly from the
-/// packed `(B·S) × hidden` query/key buffers.
+/// (`(B·heads·S) × W`, request-major then head-major) from the packed
+/// `(B·S) × hidden` queries and `(B·W) × hidden` keys (see
+/// [`PackedBatch`] for the row layout).
 ///
 /// Each element is `dot_wide(q_slice, k_slice) * scale` on the exact head
 /// slices a per-sequence `slice_block` + `matmul_transposed` + `scale`
 /// would feed it — [`dot_wide`] is a pure function of its operand slices,
 /// so the fused pass is bit-identical to the per-sequence path while
-/// skipping every intermediate copy. Padded key columns (`c ≥ len`) are
-/// written as `−∞` so the caller's softmax turns them into exact `0.0`;
-/// padded *query* rows are still computed (deterministic garbage nothing
-/// reads back), matching the per-sequence path.
+/// skipping every intermediate copy. Key columns beyond a request's
+/// `past + len` are written as `−∞` so the caller's softmax turns them
+/// into exact `0.0`; padded *query* rows are still computed
+/// (deterministic garbage nothing reads back), matching the per-sequence
+/// path.
 pub fn fused_attention_scores(
     q: &Matrix,
     k: &Matrix,
@@ -170,22 +227,21 @@ pub fn fused_attention_scores(
     dh: usize,
     scale: f32,
 ) -> Matrix {
-    let s = pack.seq();
-    let nb = pack.requests();
-    let mut scores = Matrix::zeros(nb * heads * s, s);
-    for bi in 0..nb {
-        let len = pack.len_of(bi);
-        let base = pack.row_of(bi);
+    let (s, w) = (pack.seq(), pack.kv_width());
+    let mut scores = Matrix::zeros(pack.requests() * heads * s, w);
+    for bi in 0..pack.requests() {
+        let kv_len = pack.kv_len(bi);
+        let (q_base, kv_base) = (pack.row_of(bi), bi * w);
         for hd in 0..heads {
             let c0 = hd * dh;
             let probs_base = (bi * heads + hd) * s;
             for r in 0..s {
-                let q_slice = &q.row(base + r)[c0..c0 + dh];
+                let q_slice = &q.row(q_base + r)[c0..c0 + dh];
                 let out_row = scores.row_mut(probs_base + r);
-                for (c, o) in out_row[..len].iter_mut().enumerate() {
-                    *o = dot_wide(q_slice, &k.row(base + c)[c0..c0 + dh]) * scale;
+                for (c, o) in out_row[..kv_len].iter_mut().enumerate() {
+                    *o = dot_wide(q_slice, &k.row(kv_base + c)[c0..c0 + dh]) * scale;
                 }
-                for o in &mut out_row[len..] {
+                for o in &mut out_row[kv_len..] {
                     *o = f32::NEG_INFINITY;
                 }
             }
@@ -197,7 +253,7 @@ pub fn fused_attention_scores(
 /// Fused block-diagonal `P·V` over a packed batch: one region-strided
 /// pass accumulating every head's context slice straight into the packed
 /// `(B·S) × hidden` output, from the post-softmax probability matrix laid
-/// out by [`PackedBatch::probs_layout`].
+/// out by [`PackedBatch::probs_layout`] and the `(B·W) × hidden` values.
 ///
 /// Per output element the accumulation is ascending over the key
 /// positions with exactly one addition per non-zero probability — the
@@ -213,22 +269,20 @@ pub fn fused_attention_context(
     dh: usize,
     hidden: usize,
 ) -> Matrix {
-    let s = pack.seq();
-    let nb = pack.requests();
-    let mut context = Matrix::zeros(nb * s, hidden);
-    for bi in 0..nb {
-        let base = pack.row_of(bi);
+    let (s, w) = (pack.seq(), pack.kv_width());
+    let mut context = Matrix::zeros(pack.total_rows(), hidden);
+    for bi in 0..pack.requests() {
+        let (q_base, kv_base) = (pack.row_of(bi), bi * w);
         for hd in 0..heads {
             let c0 = hd * dh;
             let probs_base = (bi * heads + hd) * s;
             for r in 0..s {
-                let out = &mut context.row_mut(base + r)[c0..c0 + dh];
-                for kk in 0..s {
-                    let pv = probs[(probs_base + r, kk)];
+                let out = &mut context.row_mut(q_base + r)[c0..c0 + dh];
+                for (kk, &pv) in probs.row(probs_base + r).iter().enumerate() {
                     if pv == 0.0 {
                         continue;
                     }
-                    let v_slice = &v.row(base + kk)[c0..c0 + dh];
+                    let v_slice = &v.row(kv_base + kk)[c0..c0 + dh];
                     for (o, &vv) in out.iter_mut().zip(v_slice) {
                         *o += pv * vv;
                     }
@@ -275,6 +329,19 @@ mod tests {
         assert_eq!(layout.regions[1].row_blocks, vec![(8, 2), (12, 2)]);
         assert_eq!(layout.regions[1].cols, Some(2));
         assert_eq!(layout.regions[0].cols, Some(4));
+    }
+
+    #[test]
+    fn decode_step_is_one_query_row_over_its_history() {
+        let pack = PackedBatch::decode_step(&[5, 2]);
+        assert_eq!((pack.seq(), pack.total_rows(), pack.kv_width()), (1, 2, 6));
+        assert_eq!(pack.past_of(1), 2);
+        let probs = pack.probs_layout(2);
+        assert_eq!(probs.regions[1].row_blocks, vec![(2, 1), (3, 1)]);
+        assert_eq!(probs.regions[1].cols, Some(3));
+        // A lone empty sequence is a zero-row pack with no history.
+        let empty = PackedBatch::new(&[Vec::<usize>::new()]);
+        assert_eq!((empty.total_rows(), empty.kv_width()), (0, 0));
     }
 
     #[test]
