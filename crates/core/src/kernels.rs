@@ -315,8 +315,7 @@ pub fn matmul_indexed(a: &QuantizedTensor, w: &QuantizedTensor) -> Matrix {
     let (m, n) = (a.rows(), w.cols());
     let mut out = Matrix::zeros(m, n);
     // Gather W into one flat column-major buffer (a single allocation) so
-    // the inner loop sweeps contiguous columns — the same weight layout
-    // the LUT kernel (`mokey_core::lut::matmul_lut`) consumes.
+    // the inner loop sweeps contiguous columns.
     let w_cols = crate::lut::ColMajorCodes::from_tensor(w);
     for i in 0..m {
         let a_row = a.row_codes(i);

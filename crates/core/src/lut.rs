@@ -1,28 +1,22 @@
-//! Index-domain LUT GEMMs: the software analogue of the paper's
+//! Index-domain LUT GEMM: the software analogue of the paper's
 //! counter/LUT datapath.
 //!
 //! A [`Code`] occupies 5 bits, so an (activation-dictionary, weight-
 //! dictionary) pair admits a **dense product table** over all 32 × 32 code
-//! bit-patterns — outliers included — of ~12 KB, comfortably L1-resident.
+//! bit-patterns — outliers included — of ~4 KB, comfortably L1-resident.
 //! With that [`PairLut`] in hand, a GEMM on quantized operands never
 //! decodes: the inner loop is a table gather indexed by code bits, exactly
 //! the arithmetic-on-indices execution the paper's accelerator performs in
 //! hardware (Section II-D), minus the histogram factorization that
 //! [`crate::kernels::dot_indexed`] models faithfully-but-slowly.
 //!
-//! Two kernels share one table, each mirroring the reduction order of the
-//! float path it replaces so outputs are **bit-identical by construction**:
-//!
-//! * [`matmul_lut`] — f64 products, the same fixed 4-lane reduction as
-//!   [`crate::kernels::dot_decoded`] (lane `l` sums pairs `i ≡ l mod 4`,
-//!   combined `(s0+s1)+(s2+s3)`, remainder sequential). Per output scalar
-//!   it equals `dot_decoded` to the bit.
-//! * [`matmul_lut_bias`] — f32 products, the same bias-preloaded,
-//!   ascending-`k`, one-add-per-`k`, zero-skipping reduction as
-//!   `mokey_tensor::Matrix::matmul_bias` (the `nn::linear` hot path). Per
-//!   output row it equals `matmul_bias` on the decoded operands to the
-//!   bit, which is what lets index-domain serving return byte-identical
-//!   responses to decoded-path serving.
+//! [`matmul_lut_bias`] is the one index-domain GEMM. It mirrors the
+//! reduction of `mokey_tensor::Matrix::matmul_bias` (the `nn::linear` hot
+//! path) — bias pre-loaded, ascending `k`, one f32 add per contributing
+//! element, zero activations skipped — so per output row it equals
+//! `matmul_bias` on the decoded operands to the bit. That is what lets
+//! index-domain serving return byte-identical responses to decoded-path
+//! serving.
 
 use crate::dict::TensorDict;
 use crate::encode::{Code, QuantizedTensor};
@@ -94,13 +88,9 @@ impl DecodeLut {
 
 /// The dense `decode(ca) · decode(cw)` product table of one
 /// (activation-dict, weight-dict) pair, over all 32 × 32 code bit-patterns
-/// — outliers included.
+/// — outliers included — in ~4.1 KB ([`bytes`](Self::bytes) reports
+/// 4 128), L1-resident:
 ///
-/// Holds both precision variants (~12 KB total, L1-resident):
-///
-/// * `f64` products — `decode_a(ca) * decode_w(cw)` in exact f64, feeding
-///   the [`matmul_lut`] / [`dot_decoded`](crate::kernels::dot_decoded)
-///   reduction;
 /// * `f32` products — `(decode_a(ca) as f32) * (decode_w(cw) as f32)`,
 ///   the exact multiply the dense float GEMM performs on decoded
 ///   operands, feeding [`matmul_lut_bias`];
@@ -109,43 +99,25 @@ impl DecodeLut {
 ///   so the LUT kernel must skip the same codes to keep identical bits).
 #[derive(Clone, PartialEq)]
 pub struct PairLut {
-    prod_f64: Vec<f64>,
     prod_f32: Vec<f32>,
-    /// Weight-major transpose of `prod_f64`: entry `cw * 32 + ca` holds the
-    /// same `decode_a(ca) * decode_w(cw)` product. One weight code selects a
-    /// contiguous 32-entry row — the counter-array kernel's per-weight-code
-    /// partial-sum table, fetched once per row panel instead of recomputing
-    /// the two-sided index per MAC.
-    prod_f64_w: Vec<f64>,
     a_zero: [bool; CODE_PATTERNS],
 }
 
 impl PairLut {
-    /// Builds the product tables for a dictionary pair. Patterns invalid
+    /// Builds the product table for a dictionary pair. Patterns invalid
     /// for either dictionary hold `0.0` (never indexed by real streams).
     pub fn new(a_dict: &TensorDict, w_dict: &TensorDict) -> Self {
         let (a_vals, a_valid) = decode_table(a_dict);
         let (w_vals, _) = decode_table(w_dict);
-        let mut prod_f64 = vec![0.0f64; CODE_PATTERNS * CODE_PATTERNS];
         let mut prod_f32 = vec![0.0f32; CODE_PATTERNS * CODE_PATTERNS];
-        let mut prod_f64_w = vec![0.0f64; CODE_PATTERNS * CODE_PATTERNS];
         let mut a_zero = [false; CODE_PATTERNS];
         for ca in 0..CODE_PATTERNS {
             a_zero[ca] = a_valid[ca] && (a_vals[ca] as f32) == 0.0;
             for cw in 0..CODE_PATTERNS {
-                prod_f64[ca * CODE_PATTERNS + cw] = a_vals[ca] * w_vals[cw];
                 prod_f32[ca * CODE_PATTERNS + cw] = (a_vals[ca] as f32) * (w_vals[cw] as f32);
-                prod_f64_w[cw * CODE_PATTERNS + ca] = a_vals[ca] * w_vals[cw];
             }
         }
-        Self { prod_f64, prod_f32, prod_f64_w, a_zero }
-    }
-
-    /// The exact-f64 product `decode_a(ca) · decode_w(cw)`.
-    #[inline]
-    pub fn product_f64(&self, ca: Code, cw: Code) -> f64 {
-        self.prod_f64[(ca.to_bits() as usize & PATTERN_MASK) * CODE_PATTERNS
-            + (cw.to_bits() as usize & PATTERN_MASK)]
+        Self { prod_f32, a_zero }
     }
 
     /// The f32 product `(decode_a(ca) as f32) * (decode_w(cw) as f32)`.
@@ -163,16 +135,6 @@ impl PairLut {
         &self.prod_f32[base..base + CODE_PATTERNS]
     }
 
-    /// One weight code's f64 product row (32 entries, indexed by
-    /// activation-code bits) — the counter-array kernel's partial-sum
-    /// table. Entry `ca` holds the same f64 product as
-    /// [`product_f64`](Self::product_f64)`(ca, cw)`.
-    #[inline]
-    fn f64_wrow(&self, cw_bits: u8) -> &[f64] {
-        let base = (cw_bits as usize & PATTERN_MASK) * CODE_PATTERNS;
-        &self.prod_f64_w[base..base + CODE_PATTERNS]
-    }
-
     /// `true` when the activation code decodes to `0.0f32` — the float
     /// GEMM's zero-skip would drop every product with it.
     #[inline]
@@ -182,10 +144,7 @@ impl PairLut {
 
     /// Approximate heap footprint, for cache accounting.
     pub fn bytes(&self) -> usize {
-        self.prod_f64.len() * 8
-            + self.prod_f32.len() * 4
-            + self.prod_f64_w.len() * 8
-            + self.a_zero.len()
+        self.prod_f32.len() * 4 + self.a_zero.len()
     }
 }
 
@@ -196,9 +155,10 @@ impl std::fmt::Debug for PairLut {
 }
 
 /// A quantized matrix's codes gathered into one flat **column-major**
-/// buffer — a single allocation holding every column contiguously, shared
-/// by [`matmul_lut`] and [`crate::kernels::matmul_indexed`] as their
-/// weight-side layout (both sweep whole columns per output scalar).
+/// buffer — a single allocation holding every column contiguously: the
+/// weight-side layout of the histogram kernel
+/// [`crate::kernels::matmul_indexed`], which sweeps whole columns per
+/// output scalar.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ColMajorCodes {
     rows: usize,
@@ -243,66 +203,13 @@ impl ColMajorCodes {
     }
 }
 
-/// One LUT dot product with the pinned
-/// [`dot_decoded`](crate::kernels::dot_decoded) lane structure: lane `l`
-/// accumulates pairs `i ≡ l (mod 4)` over the 4-wide prefix, lanes combine
-/// as `(s0 + s1) + (s2 + s3)`, the remainder is added sequentially. Each
-/// term is the table's exact f64 product, so the result is bit-identical
-/// to `dot_decoded` on the same code streams.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn dot_lut(a_codes: &[Code], w_codes: &[Code], lut: &PairLut) -> f64 {
-    assert_eq!(a_codes.len(), w_codes.len(), "dot length mismatch");
-    let mut ca = a_codes.chunks_exact(4);
-    let mut cw = w_codes.chunks_exact(4);
-    let (mut s0, mut s1, mut s2, mut s3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-    for (xa, xw) in (&mut ca).zip(&mut cw) {
-        s0 += lut.product_f64(xa[0], xw[0]);
-        s1 += lut.product_f64(xa[1], xw[1]);
-        s2 += lut.product_f64(xa[2], xw[2]);
-        s3 += lut.product_f64(xa[3], xw[3]);
-    }
-    let mut acc = (s0 + s1) + (s2 + s3);
-    for (&x, &y) in ca.remainder().iter().zip(cw.remainder()) {
-        acc += lut.product_f64(x, y);
-    }
-    acc
-}
-
-/// Column panel for [`matmul_lut`]: a `CJB`-column stripe of the
-/// column-major weight codes stays cache-resident while every activation
-/// row sweeps it (panel order never changes any scalar's reduction — each
-/// output is one independent [`dot_lut`]).
-const CJB: usize = 64;
-
-/// Index-domain GEMM through the pair LUT: `A (M×K) · W (K×N)` where both
-/// operands stay as codes and every product is one table gather.
-///
-/// Each output scalar is computed by [`dot_lut`] and is therefore
-/// **bit-identical** to [`crate::kernels::dot_decoded`] over the same row
-/// and column codes — the property tests pin this per scalar.
-///
-/// # Panics
-///
-/// Panics if inner dimensions differ.
-pub fn matmul_lut(a: &QuantizedTensor, w_cols: &ColMajorCodes, lut: &PairLut) -> Matrix {
-    assert_eq!(a.cols(), w_cols.rows(), "matmul_lut inner dimension mismatch");
-    let (m, n) = (a.rows(), w_cols.cols());
-    let mut out = Matrix::zeros(m, n);
-    for j0 in (0..n).step_by(CJB) {
-        let jb = CJB.min(n - j0);
-        for i in 0..m {
-            let a_row = a.row_codes(i);
-            let o_row = &mut out.row_mut(i)[j0..j0 + jb];
-            for (o, j) in o_row.iter_mut().zip(j0..) {
-                *o = dot_lut(a_row, w_cols.col(j), lut) as f32;
-            }
-        }
-    }
-    out
-}
+/// Activation rows per quad of [`matmul_lut_bias`] (its quad body is
+/// written out for four rows): a quad of encoded rows loads and masks
+/// each weight row's code bytes once instead of once per row. A GEMM
+/// with fewer rows never forms a quad and runs on the row path alone —
+/// which is why index-domain GEMMs at least this tall are attributed to
+/// the counter array and shorter ones to the pair-LUT gather.
+pub const QUAD_ROWS: usize = 4;
 
 /// Index-domain fused GEMM + bias mirroring
 /// `mokey_tensor::Matrix::matmul_bias` bit for bit: the bias is pre-loaded
@@ -313,6 +220,15 @@ pub fn matmul_lut(a: &QuantizedTensor, w_cols: &ColMajorCodes, lut: &PairLut) ->
 /// `(decode_a as f32) * (decode_w as f32)` product (the exact multiply the
 /// float kernel performs), every output row equals
 /// `decoded_a.matmul_bias(&decoded_w, bias)` to the bit.
+///
+/// Rows are taken [`QUAD_ROWS`] at a time — the paper's per-weight-code
+/// counter reduction (Section II-D) made rowful: within a quad of encoded
+/// rows the `k`/`j` loops interchange so each weight row's codes are
+/// loaded once for all four rows. The ragged tail, any quad holding a
+/// padding row, and any GEMM under four rows (a decode step, a head) run
+/// the row path, one pair-LUT gather per MAC. Either way every element
+/// receives at most one add per `k`, in ascending `k`, so the path never
+/// changes a bit of the output.
 ///
 /// `a_bits` holds `m × k` activation code bytes row-major. A row whose
 /// first byte is [`SKIP_CODE`] was never encoded (packed padding): it gets
@@ -339,196 +255,14 @@ pub fn matmul_lut_bias(
     for _ in 0..m {
         data.extend_from_slice(bias);
     }
-    let w_codes = w.codes();
-    for i in 0..m {
-        let a_row = &a_bits[i * k..(i + 1) * k];
-        if a_row.first() == Some(&SKIP_CODE) {
-            continue;
-        }
-        let o_row = &mut data[i * n..(i + 1) * n];
-        for (kk, &ca) in a_row.iter().enumerate() {
-            debug_assert!(ca != SKIP_CODE, "skip sentinel inside an encoded row");
-            if lut.activation_is_zero(ca) {
-                continue;
-            }
-            let prod_row = lut.f32_row(ca);
-            let w_row = &w_codes[kk * n..(kk + 1) * n];
-            for (o, &cw) in o_row.iter_mut().zip(w_row) {
-                *o += prod_row[cw.to_bits() as usize & PATTERN_MASK];
-            }
-        }
-    }
-    Matrix::from_vec(m, n, data)
-}
-
-/// Activation-row panel height for the counter-array kernels: one weight
-/// column's codes (and their 32-entry product rows) are walked **once per
-/// panel** of `PANEL_ROWS` activation rows instead of once per row, which
-/// is where the counter-array formulation pays — the per-weight-code
-/// gather is amortized `PANEL_ROWS`-fold while every scalar keeps its own
-/// pinned reduction. Sixteen rows keep the four fetched product rows hot
-/// across 64 accumulation chains per chunk — measured the steadiest win
-/// over 8 on the reference host — while the panel scratch stays ~2 KB.
-const PANEL_ROWS: usize = 16;
-
-/// Counter-array index-domain GEMM: the paper's per-weight-code reduction
-/// (Section II-D), generalized from counts to **partial sums** so outlier
-/// activations work, expressed as a row-panel kernel.
-///
-/// The paper's PE counts how often each weight code meets each activation
-/// magnitude and multiplies once per *code* instead of once per MAC. In
-/// software the equivalent factorization is the weight-major product table:
-/// each weight code `cw` selects one 32-entry row of pre-multiplied
-/// `decode_a(·) · decode_w(cw)` partial sums, so the inner loop is a
-/// single byte-indexed gather — the two-sided `(ca, cw)` index arithmetic
-/// of [`matmul_lut`] collapses to one table-row fetch per weight code per
-/// panel.
-///
-/// Bit-identity: each output scalar keeps **exactly**
-/// [`dot_decoded`](crate::kernels::dot_decoded)'s pinned reduction — lane
-/// `l` sums `k ≡ l (mod 4)` over the 4-wide prefix, lanes combine
-/// `(s0 + s1) + (s2 + s3)`, remainder sequential — and every gathered term
-/// is the same f64 product, so outputs equal [`matmul_lut`] (and therefore
-/// `dot_decoded`) to the bit; only the amount of index arithmetic per MAC
-/// changes, never any scalar's add order.
-///
-/// # Panics
-///
-/// Panics if inner dimensions differ.
-pub fn matmul_lut_counter(a: &QuantizedTensor, w_cols: &ColMajorCodes, lut: &PairLut) -> Matrix {
-    assert_eq!(a.cols(), w_cols.rows(), "matmul_lut inner dimension mismatch");
-    let (m, n) = (a.rows(), w_cols.cols());
-    let k = a.cols();
-    let mut out = Matrix::zeros(m, n);
-    let kc = k - (k % 4);
-    // The panel's activation codes, masked to table indexes once per panel
-    // (reused across all `n` columns) and stored chunk-major — 4 bytes of
-    // row 0, 4 bytes of row 1, … — so the inner loop walks one sequential
-    // slab per 4-wide `k` chunk.
-    let mut panel = vec![0u8; PANEL_ROWS * kc];
-    for i0 in (0..m).step_by(PANEL_ROWS) {
-        let rb = PANEL_ROWS.min(m - i0);
-        if rb == PANEL_ROWS {
-            for (r, row) in (i0..i0 + rb).map(|i| a.row_codes(i)).enumerate() {
-                for c in 0..kc / 4 {
-                    for p in 0..4 {
-                        panel[(c * PANEL_ROWS + r) * 4 + p] =
-                            row[c * 4 + p].to_bits() & PATTERN_MASK as u8;
-                    }
-                }
-            }
-            for j in 0..n {
-                let col = w_cols.col(j);
-                // Full panel: constant row count so the accumulator array
-                // unrolls completely.
-                let mut acc = [[0.0f64; 4]; PANEL_ROWS];
-                counter_panel_columns::<PANEL_ROWS>(&panel, col, lut, &mut acc);
-                for (r, s) in acc.iter().enumerate() {
-                    out[(i0 + r, j)] = counter_finish(s, a.row_codes(i0 + r), col, lut);
-                }
-            }
-        } else {
-            for r in 0..rb {
-                let row = a.row_codes(i0 + r);
-                for (dst, c) in panel[..kc].iter_mut().zip(row) {
-                    *dst = c.to_bits() & PATTERN_MASK as u8;
-                }
-                for j in 0..n {
-                    let col = w_cols.col(j);
-                    let mut acc = [[0.0f64; 4]; 1];
-                    counter_panel_columns::<1>(&panel[..kc], col, lut, &mut acc);
-                    out[(i0 + r, j)] = counter_finish(&acc[0], row, col, lut);
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Lane-accumulation core of [`matmul_lut_counter`] over one weight column
-/// and `R` pre-masked, chunk-major activation rows: per 4-wide `k` chunk,
-/// the four weight-code product rows are fetched **once** and every
-/// activation row gathers from them, each row keeping its own pinned
-/// `dot_decoded` lanes (`acc[r][l]` sums `k ≡ l mod 4`).
-#[inline]
-fn counter_panel_columns<const R: usize>(
-    panel: &[u8],
-    col: &[Code],
-    lut: &PairLut,
-    acc: &mut [[f64; 4]; R],
-) {
-    let chunks = panel.len() / (R * 4);
-    for (c, cw4) in col.chunks_exact(4).enumerate().take(chunks) {
-        let w0 = lut.f64_wrow(cw4[0].to_bits());
-        let w1 = lut.f64_wrow(cw4[1].to_bits());
-        let w2 = lut.f64_wrow(cw4[2].to_bits());
-        let w3 = lut.f64_wrow(cw4[3].to_bits());
-        let slab = &panel[c * R * 4..(c + 1) * R * 4];
-        for (s, ar) in acc.iter_mut().zip(slab.chunks_exact(4)) {
-            s[0] += w0[(ar[0] & PATTERN_MASK as u8) as usize];
-            s[1] += w1[(ar[1] & PATTERN_MASK as u8) as usize];
-            s[2] += w2[(ar[2] & PATTERN_MASK as u8) as usize];
-            s[3] += w3[(ar[3] & PATTERN_MASK as u8) as usize];
-        }
-    }
-}
-
-/// Folds one row's counter lanes exactly as `dot_decoded` does —
-/// `(s0 + s1) + (s2 + s3)` then the sub-lane remainder sequentially — and
-/// casts to the output f32.
-#[inline]
-fn counter_finish(s: &[f64; 4], a_row: &[Code], col: &[Code], lut: &PairLut) -> f32 {
-    let k = a_row.len();
-    let kc = k - (k % 4);
-    let mut v = (s[0] + s[1]) + (s[2] + s[3]);
-    for kk in kc..k {
-        let wrow = lut.f64_wrow(col[kk].to_bits());
-        v += wrow[(a_row[kk].to_bits() & PATTERN_MASK as u8) as usize];
-    }
-    v as f32
-}
-
-/// Counter-array variant of [`matmul_lut_bias`]: identical contract and
-/// identical bits (bias pre-load, ascending-`k`, one f32 add per
-/// contributing element, code-domain zero skip, [`SKIP_CODE`] rows →
-/// bias), but the `k`/`j` loops are interchanged over a `PANEL_ROWS`-row
-/// panel so each weight row's code bytes are loaded and masked **once per
-/// panel** instead of once per activation row.
-///
-/// Per output element the adds still happen in ascending `k` with the same
-/// skip conditions — within one `k` every element receives at most one add
-/// — so the reduction order of every scalar is unchanged from
-/// [`matmul_lut_bias`], which is what keeps it mirroring
-/// `Matrix::matmul_bias` bit for bit.
-///
-/// # Panics
-///
-/// Panics if `a_bits` is not `m × k`, `w` is not `k × n`, or the bias is
-/// not `n` wide.
-pub fn matmul_lut_bias_counter(
-    a_bits: &[u8],
-    m: usize,
-    k: usize,
-    w: &QuantizedTensor,
-    bias: &[f32],
-    lut: &PairLut,
-) -> Matrix {
-    assert_eq!(a_bits.len(), m * k, "activation code buffer is not {m}x{k}");
-    assert_eq!(w.rows(), k, "matmul_lut_bias inner dimension mismatch");
-    let n = w.cols();
-    assert_eq!(bias.len(), n, "bias width mismatch");
-    let mut data = Vec::with_capacity(m * n);
-    for _ in 0..m {
-        data.extend_from_slice(bias);
-    }
     if n == 0 {
         return Matrix::from_vec(m, n, data);
     }
     let w_codes = w.codes();
-    for (pi, chunk) in data.chunks_mut(4 * n).enumerate() {
-        let i0 = pi * 4;
-        let rb = chunk.len() / n;
-        let full_quad = rb == 4 && (0..4).all(|t| a_bits.get((i0 + t) * k) != Some(&SKIP_CODE));
+    for (qi, chunk) in data.chunks_mut(QUAD_ROWS * n).enumerate() {
+        let i0 = qi * QUAD_ROWS;
+        let full_quad = chunk.len() == QUAD_ROWS * n
+            && (0..QUAD_ROWS).all(|t| a_bits.get((i0 + t) * k) != Some(&SKIP_CODE));
         if full_quad {
             let (r0, rest) = chunk.split_at_mut(n);
             let (r1, rest) = rest.split_at_mut(n);
@@ -564,47 +298,50 @@ pub fn matmul_lut_bias_counter(
                         *o3 += p3[ci];
                     }
                 } else {
-                    // A zero-skip in the quad: fall back to per-row adds for
-                    // this k only. Each element still sees at most one add
-                    // per k, in ascending k — the reduction order of every
-                    // scalar is unchanged.
-                    for (t, o_row) in
-                        [&mut *r0, &mut *r1, &mut *r2, &mut *r3].into_iter().enumerate()
-                    {
-                        if !live[t] {
-                            continue;
-                        }
-                        let prod_row = lut.f32_row(ca[t]);
-                        for (o, &cw) in o_row.iter_mut().zip(w_row) {
-                            *o += prod_row[cw.to_bits() as usize & PATTERN_MASK];
+                    // A zero-skip in the quad: per-row adds for this k only.
+                    let quad = [&mut *r0, &mut *r1, &mut *r2, &mut *r3];
+                    for ((o_row, &c), live) in quad.into_iter().zip(&ca).zip(live) {
+                        if live {
+                            add_product_row(lut.f32_row(c), w_row, o_row);
                         }
                     }
                 }
             }
         } else {
-            // Ragged tail quad, or a quad containing SKIP_CODE padding
-            // rows: the plain row kernel body.
-            for (r, o_row) in chunk.chunks_mut(n).enumerate().take(rb) {
+            // The ragged tail, or a quad holding SKIP_CODE padding rows.
+            for (r, o_row) in chunk.chunks_mut(n).enumerate() {
                 let i = i0 + r;
-                let a_row = &a_bits[i * k..(i + 1) * k];
-                if a_row.first() == Some(&SKIP_CODE) {
-                    continue;
-                }
-                for (kk, &ca) in a_row.iter().enumerate() {
-                    debug_assert!(ca != SKIP_CODE, "skip sentinel inside an encoded row");
-                    if lut.activation_is_zero(ca) {
-                        continue;
-                    }
-                    let prod_row = lut.f32_row(ca);
-                    let w_row = &w_codes[kk * n..(kk + 1) * n];
-                    for (o, &cw) in o_row.iter_mut().zip(w_row) {
-                        *o += prod_row[cw.to_bits() as usize & PATTERN_MASK];
-                    }
-                }
+                lut_row(&a_bits[i * k..(i + 1) * k], w_codes, lut, o_row);
             }
         }
     }
     Matrix::from_vec(m, n, data)
+}
+
+/// The row path of [`matmul_lut_bias`]: one activation row against the
+/// whole `k × n` weight, one pair-LUT product row per contributing `k`.
+/// A [`SKIP_CODE`] row keeps its bias.
+#[inline]
+fn lut_row(a_row: &[u8], w_codes: &[Code], lut: &PairLut, o_row: &mut [f32]) {
+    if a_row.first() == Some(&SKIP_CODE) {
+        return;
+    }
+    let n = o_row.len();
+    for (&ca, w_row) in a_row.iter().zip(w_codes.chunks_exact(n)) {
+        debug_assert!(ca != SKIP_CODE, "skip sentinel inside an encoded row");
+        if !lut.activation_is_zero(ca) {
+            add_product_row(lut.f32_row(ca), w_row, o_row);
+        }
+    }
+}
+
+/// Adds one activation code's products against one weight row of codes
+/// into an output row: `o[j] += prod_row[w_row[j]]`.
+#[inline]
+fn add_product_row(prod_row: &[f32], w_row: &[Code], o_row: &mut [f32]) {
+    for (o, &cw) in o_row.iter_mut().zip(w_row) {
+        *o += prod_row[cw.to_bits() as usize & PATTERN_MASK];
+    }
 }
 
 #[cfg(test)]
@@ -612,7 +349,7 @@ mod tests {
     use super::*;
     use crate::curve::ExpCurve;
     use crate::dict::{OutlierPolicy, TensorDictConfig};
-    use crate::kernels::{dot_decoded, matmul_indexed};
+    use crate::kernels::matmul_indexed;
     use mokey_tensor::init::GaussianMixture;
 
     fn quantized_pair(
@@ -628,6 +365,33 @@ mod tests {
             QuantizedTensor::encode_with_own_dict(&a, &curve, &Default::default()).unwrap(),
             QuantizedTensor::encode_with_own_dict(&w, &curve, &Default::default()).unwrap(),
         )
+    }
+
+    fn code_bytes(q: &QuantizedTensor) -> Vec<u8> {
+        q.codes().iter().map(|c| c.to_bits()).collect()
+    }
+
+    /// The same GEMM as `m` one-row calls — every row on the row path.
+    fn one_row_calls(
+        a_bits: &[u8],
+        m: usize,
+        k: usize,
+        w: &QuantizedTensor,
+        bias: &[f32],
+        lut: &PairLut,
+    ) -> Vec<f32> {
+        (0..m)
+            .flat_map(|i| {
+                matmul_lut_bias(&a_bits[i * k..(i + 1) * k], 1, k, w, bias, lut).into_vec()
+            })
+            .collect()
+    }
+
+    fn assert_bits_eq(a: &[f32], b: &[f32]) {
+        assert_eq!(a.len(), b.len());
+        for (i, (x, y)) in a.iter().zip(b).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "element {i}");
+        }
     }
 
     #[test]
@@ -653,10 +417,9 @@ mod tests {
     fn pair_lut_products_match_decoded_products() {
         let (qa, qw) = quantized_pair(4, 64, 4, 7);
         let lut = PairLut::new(qa.dict(), qw.dict());
+        assert_eq!(lut.bytes(), 4128);
         for &ca in qa.codes() {
             for &cw in qw.codes() {
-                let expect = qa.dict().decode_code(ca) * qw.dict().decode_code(cw);
-                assert_eq!(lut.product_f64(ca, cw).to_bits(), expect.to_bits());
                 let expect32 =
                     (qa.dict().decode_code(ca) as f32) * (qw.dict().decode_code(cw) as f32);
                 assert_eq!(lut.product_f32(ca, cw).to_bits(), expect32.to_bits());
@@ -675,11 +438,16 @@ mod tests {
         assert!(no_ot.ot_magnitudes().is_empty());
         let with_ot = TensorDict::for_values(vals.as_slice(), &curve, &Default::default()).unwrap();
         let lut = PairLut::new(&no_ot, &with_ot);
-        // An outlier activation pattern is invalid for the G-only dict.
+        // An outlier activation pattern is invalid for the G-only dict: its
+        // products are 0.0, yet it is not flagged as a zero activation
+        // (the flag only covers valid patterns).
         let ot_code = Code::new(true, false, 0);
         let g_code = Code::new(false, false, 3);
-        assert_eq!(lut.product_f64(ot_code, g_code), 0.0);
+        assert_eq!(lut.product_f32(ot_code, g_code), 0.0);
         assert!(!lut.activation_is_zero(ot_code.to_bits()));
+        // Likewise an outlier weight pattern against the G-only weights.
+        let rev = PairLut::new(&with_ot, &no_ot);
+        assert_eq!(rev.product_f32(g_code, ot_code), 0.0);
     }
 
     #[test]
@@ -694,42 +462,15 @@ mod tests {
     }
 
     #[test]
-    fn dot_lut_is_bit_identical_to_dot_decoded() {
-        // One wide pair; prefixes exercise empty, sub-lane, and remainder
-        // lengths against the same dictionaries.
-        let (qa, qw) = quantized_pair(1, 513, 1, 17);
-        let lut = PairLut::new(qa.dict(), qw.dict());
-        for len in [0usize, 1, 3, 4, 7, 128, 513] {
-            let fast = dot_lut(&qa.codes()[..len], &qw.codes()[..len], &lut);
-            let reference =
-                dot_decoded(&qa.codes()[..len], qa.dict(), &qw.codes()[..len], qw.dict());
-            assert_eq!(fast.to_bits(), reference.to_bits(), "len {len}");
-        }
-    }
-
-    #[test]
-    fn matmul_lut_is_bit_identical_to_per_scalar_dot_decoded() {
-        let (qa, qw) = quantized_pair(6, 130, 70, 23);
-        let cols = ColMajorCodes::from_tensor(&qw);
-        let lut = PairLut::new(qa.dict(), qw.dict());
-        let out = matmul_lut(&qa, &cols, &lut);
-        assert_eq!(out.shape(), (6, 70));
-        for i in 0..6 {
-            for j in 0..70 {
-                let expect = dot_decoded(qa.row_codes(i), qa.dict(), cols.col(j), qw.dict()) as f32;
-                assert_eq!(out[(i, j)].to_bits(), expect.to_bits(), "({i},{j})");
-            }
-        }
-    }
-
-    #[test]
     fn matmul_lut_tracks_matmul_indexed_numerically() {
+        // The served f32 kernel against the histogram reference (exact f64
+        // reduction): equal up to f32 accumulation rounding.
         let (qa, qw) = quantized_pair(5, 96, 9, 31);
-        let cols = ColMajorCodes::from_tensor(&qw);
         let lut = PairLut::new(qa.dict(), qw.dict());
-        let fast = matmul_lut(&qa, &cols, &lut);
+        let fast = matmul_lut_bias(&code_bytes(&qa), 5, 96, &qw, &[0.0; 9], &lut);
         let slow = matmul_indexed(&qa, &qw);
-        assert!(fast.max_abs_diff(&slow) < 1e-4);
+        assert_eq!(fast.shape(), slow.shape());
+        assert!(fast.max_abs_diff(&slow) < 1e-4, "diff {}", fast.max_abs_diff(&slow));
     }
 
     #[test]
@@ -737,13 +478,10 @@ mod tests {
         let (qa, qw) = quantized_pair(9, 300, 33, 41);
         let lut = PairLut::new(qa.dict(), qw.dict());
         let bias: Vec<f32> = (0..33).map(|j| j as f32 * 0.01 - 0.15).collect();
-        let a_bits: Vec<u8> = qa.codes().iter().map(|c| c.to_bits()).collect();
-        let fast = matmul_lut_bias(&a_bits, 9, 300, &qw, &bias, &lut);
+        let fast = matmul_lut_bias(&code_bytes(&qa), 9, 300, &qw, &bias, &lut);
         let reference = qa.decode().matmul_bias(&qw.decode(), &bias);
         assert_eq!(fast.shape(), reference.shape());
-        for (a, b) in fast.as_slice().iter().zip(reference.as_slice()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
+        assert_bits_eq(fast.as_slice(), reference.as_slice());
     }
 
     #[test]
@@ -751,7 +489,7 @@ mod tests {
         let (qa, qw) = quantized_pair(5, 64, 8, 47);
         let lut = PairLut::new(qa.dict(), qw.dict());
         let bias = [0.5f32, -1.0, 0.25, 2.0, 0.0, 1.5, -0.75, 0.125];
-        let mut a_bits: Vec<u8> = qa.codes().iter().map(|c| c.to_bits()).collect();
+        let mut a_bits = code_bytes(&qa);
         // Mark rows 1 and 4 as never-encoded padding.
         for r in [1usize, 4] {
             for b in &mut a_bits[r * 64..(r + 1) * 64] {
@@ -766,9 +504,7 @@ mod tests {
         // independence: padding rows never influence neighbours).
         let reference = qa.decode().matmul_bias(&qw.decode(), &bias);
         for r in [0usize, 2, 3] {
-            for (a, b) in out.row(r).iter().zip(reference.row(r)) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
+            assert_bits_eq(out.row(r), reference.row(r));
         }
     }
 
@@ -776,12 +512,11 @@ mod tests {
     fn matmul_lut_bias_zero_centroid_skip_matches_float_zero_skip() {
         // A dictionary whose shift/scale land a centroid exactly on 0.0f32
         // exercises the zero-skip parity: the float kernel skips a == 0.0,
-        // the LUT kernel must skip the same codes.
+        // the LUT kernel must skip the same codes. With Gaussian-mixture
+        // activations a zero centroid is unlikely; the invariant itself
+        // (flag ⇔ decoded f32 is 0.0) always holds.
         let (qa, qw) = quantized_pair(4, 128, 6, 53);
         let lut = PairLut::new(qa.dict(), qw.dict());
-        let any_zero = (0..32u8).any(|b| lut.activation_is_zero(b));
-        // With Gaussian-mixture activations a zero centroid is unlikely;
-        // the invariant itself (flag ⇔ decoded f32 is 0.0) always holds.
         let decode = DecodeLut::new(qa.dict());
         for bits in 0..32u8 {
             let code = Code::from_bits(bits);
@@ -794,94 +529,77 @@ mod tests {
                 assert_eq!(lut.activation_is_zero(bits), decode.value(code) == 0.0);
             }
         }
-        let _ = any_zero;
-    }
-
-    #[test]
-    fn matmul_lut_counter_is_bit_identical_to_matmul_lut_and_dot_decoded() {
-        // 13 rows: one full 8-row panel plus a 5-row remainder panel; 130
-        // columns of K leave a 2-wide lane remainder.
-        let (qa, qw) = quantized_pair(13, 130, 70, 79);
-        let cols = ColMajorCodes::from_tensor(&qw);
-        let lut = PairLut::new(qa.dict(), qw.dict());
-        let fast = matmul_lut_counter(&qa, &cols, &lut);
-        let reference = matmul_lut(&qa, &cols, &lut);
-        assert_eq!(fast.shape(), reference.shape());
-        for (a, b) in fast.as_slice().iter().zip(reference.as_slice()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        for i in 0..13 {
-            for j in 0..70 {
-                let expect = dot_decoded(qa.row_codes(i), qa.dict(), cols.col(j), qw.dict()) as f32;
-                assert_eq!(fast[(i, j)].to_bits(), expect.to_bits(), "({i},{j})");
-            }
-        }
     }
 
     #[test]
     fn matmul_lut_bias_counter_is_bit_identical_to_row_kernel() {
-        // 11 rows split across two panels; k = 300 exercises a long
-        // ascending reduction.
+        // 11 rows: two full quads plus a 3-row tail; k = 300 exercises a
+        // long ascending reduction. The quad path must equal the same rows
+        // as one-row calls (the row path) and the dense reference.
         let (qa, qw) = quantized_pair(11, 300, 33, 83);
         let lut = PairLut::new(qa.dict(), qw.dict());
         let bias: Vec<f32> = (0..33).map(|j| j as f32 * 0.01 - 0.15).collect();
-        let a_bits: Vec<u8> = qa.codes().iter().map(|c| c.to_bits()).collect();
-        let fast = matmul_lut_bias_counter(&a_bits, 11, 300, &qw, &bias, &lut);
-        let row_kernel = matmul_lut_bias(&a_bits, 11, 300, &qw, &bias, &lut);
+        let a_bits = code_bytes(&qa);
+        let fast = matmul_lut_bias(&a_bits, 11, 300, &qw, &bias, &lut);
+        let row_path = one_row_calls(&a_bits, 11, 300, &qw, &bias, &lut);
         let dense = qa.decode().matmul_bias(&qw.decode(), &bias);
-        for ((a, b), c) in fast.as_slice().iter().zip(row_kernel.as_slice()).zip(dense.as_slice()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-            assert_eq!(a.to_bits(), c.to_bits());
-        }
+        assert_bits_eq(fast.as_slice(), &row_path);
+        assert_bits_eq(fast.as_slice(), dense.as_slice());
     }
 
     #[test]
     fn matmul_lut_bias_counter_skip_rows_emit_bias_within_a_panel() {
-        // Skip rows scattered inside and across panel boundaries (rows 1,
-        // 7, 8 with PANEL_ROWS = 8) must emit the bias while their panel
-        // neighbours stay bit-identical to the row kernel.
+        // Skip rows inside and across quad boundaries (row 1 in quad 0,
+        // row 7 ending quad 1, row 8 starting the ragged tail) must emit
+        // the bias while their neighbours stay bit-identical to one-row
+        // calls.
         let (qa, qw) = quantized_pair(10, 64, 8, 89);
         let lut = PairLut::new(qa.dict(), qw.dict());
         let bias = [0.5f32, -1.0, 0.25, 2.0, 0.0, 1.5, -0.75, 0.125];
-        let mut a_bits: Vec<u8> = qa.codes().iter().map(|c| c.to_bits()).collect();
+        let mut a_bits = code_bytes(&qa);
         for r in [1usize, 7, 8] {
             for b in &mut a_bits[r * 64..(r + 1) * 64] {
                 *b = SKIP_CODE;
             }
         }
-        let fast = matmul_lut_bias_counter(&a_bits, 10, 64, &qw, &bias, &lut);
-        let reference = matmul_lut_bias(&a_bits, 10, 64, &qw, &bias, &lut);
+        let fast = matmul_lut_bias(&a_bits, 10, 64, &qw, &bias, &lut);
         for r in [1usize, 7, 8] {
             assert_eq!(fast.row(r), &bias);
         }
-        for (a, b) in fast.as_slice().iter().zip(reference.as_slice()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
+        assert_bits_eq(fast.as_slice(), &one_row_calls(&a_bits, 10, 64, &qw, &bias, &lut));
     }
 
     #[test]
     fn counter_kernels_handle_empty_shapes() {
-        let (qa, qw) = quantized_pair(1, 8, 3, 97);
+        // Zero rows on either side of the quad height, and a zero-width
+        // weight under a quad-sized activation.
+        let (qa, qw) = quantized_pair(4, 8, 3, 97);
         let lut = PairLut::new(qa.dict(), qw.dict());
-        let out = matmul_lut_bias_counter(&[], 0, 8, &qw, &[0.0; 3], &lut);
+        let out = matmul_lut_bias(&[], 0, 8, &qw, &[0.0; 3], &lut);
         assert_eq!(out.shape(), (0, 3));
-        let cols = ColMajorCodes::from_tensor(&qw);
-        let empty_a = QuantizedTensor::encode(&Matrix::zeros(0, 8), qa.dict());
-        let out = matmul_lut_counter(&empty_a, &cols, &lut);
-        assert_eq!(out.shape(), (0, 3));
+        let no_cols = QuantizedTensor::encode(&Matrix::zeros(8, 0), qw.dict());
+        let out = matmul_lut_bias(&code_bytes(&qa), 4, 8, &no_cols, &[], &lut);
+        assert_eq!(out.shape(), (4, 0));
     }
 
     #[test]
     fn empty_and_degenerate_shapes_are_handled() {
         let (qa, qw) = quantized_pair(1, 8, 3, 61);
         let lut = PairLut::new(qa.dict(), qw.dict());
-        let cols = ColMajorCodes::from_tensor(&qw);
         // Zero-row activation: empty output.
         let out = matmul_lut_bias(&[], 0, 8, &qw, &[0.0; 3], &lut);
         assert_eq!(out.shape(), (0, 3));
-        let empty = dot_lut(&[], &[], &lut);
-        assert_eq!(empty, 0.0);
-        let _ = cols;
+        // Zero inner dimension: every row is the bias, on the quad path
+        // (4 rows) and the row path (1 and 5 rows) alike.
+        let no_k = QuantizedTensor::encode(&Matrix::zeros(0, 3), qw.dict());
+        let bias = [0.5f32, -1.0, 0.25];
+        for m in [1usize, 4, 5] {
+            let out = matmul_lut_bias(&[], m, 0, &no_k, &bias, &lut);
+            assert_eq!(out.shape(), (m, 3));
+            for r in 0..m {
+                assert_eq!(out.row(r), &bias);
+            }
+        }
     }
 
     #[test]
@@ -890,7 +608,6 @@ mod tests {
         let (qa, qw) = quantized_pair(2, 8, 2, 71);
         let (qa2, _) = quantized_pair(2, 16, 2, 73);
         let lut = PairLut::new(qa.dict(), qw.dict());
-        let cols = ColMajorCodes::from_tensor(&qw);
-        let _ = matmul_lut(&qa2, &cols, &lut);
+        let _ = matmul_lut_bias(&code_bytes(&qa2), 2, 16, &qw, &[0.0; 2], &lut);
     }
 }

@@ -22,7 +22,7 @@ use crate::model::{Model, TaskOutput};
 use crate::packed::{PackedBatch, PackedLayout};
 use mokey_core::dict::TensorDict;
 use mokey_core::encode::QuantizedTensor;
-use mokey_core::lut::{matmul_lut_bias, matmul_lut_bias_counter, DecodeLut, PairLut, SKIP_CODE};
+use mokey_core::lut::{matmul_lut_bias, DecodeLut, PairLut, QUAD_ROWS, SKIP_CODE};
 use mokey_core::profile::ActivationProfiler;
 use mokey_fixed::{snap_to_grid, QFormat};
 use mokey_tensor::Matrix;
@@ -100,9 +100,10 @@ pub enum ExecMode {
     /// (the reference path).
     #[default]
     Decoded,
-    /// Keep activations as codes and gather precomputed centroid
-    /// products from per-dictionary-pair tables
-    /// ([`mokey_core::lut::PairLut`]) — bit-identical to
+    /// Keep activations as codes and run every projection/FFN GEMM
+    /// through the one index-domain kernel ([`matmul_lut_bias`]), which
+    /// gathers precomputed centroid products from per-dictionary-pair
+    /// tables ([`mokey_core::lut::PairLut`]) — bit-identical to
     /// [`ExecMode::Decoded`] by construction, falling back to it for any
     /// GEMM without retained weight codes.
     IndexDomain,
@@ -416,7 +417,7 @@ impl QuantizedContext {
 ///
 /// Equality compares only the activation-encoding counters (`act_values`,
 /// `act_outliers`): those describe *what* was computed and are pinned
-/// bit-identical across execution modes, batching, and kernel choices.
+/// bit-identical across execution modes, batching, and kernel paths.
 /// The kernel-attribution counters record *how* index-domain GEMMs were
 /// served — they legitimately differ between [`ExecMode`]s and shapes, so
 /// they stay out of the equality the mode/batching equivalence tests
@@ -427,11 +428,12 @@ pub struct QuantizedStats {
     pub act_values: usize,
     /// Of those, how many hit the outlier dictionary (Table I's "A OT %").
     pub act_outliers: usize,
-    /// Index-domain GEMMs served by the pair-LUT row kernel
-    /// ([`matmul_lut_bias`]).
+    /// Index-domain GEMMs under [`QUAD_ROWS`] rows (decode steps, heads):
+    /// [`matmul_lut_bias`] serves them on its row path alone, one
+    /// pair-LUT gather per MAC.
     pub pair_lut_gemms: usize,
-    /// Index-domain GEMMs served by the counter-array panel kernel
-    /// ([`matmul_lut_bias_counter`]).
+    /// Index-domain GEMMs of at least [`QUAD_ROWS`] rows, which
+    /// [`matmul_lut_bias`] serves on its counter-array quad path.
     pub counter_array_gemms: usize,
 }
 
@@ -499,21 +501,6 @@ pub struct CapturedCodes {
     pub cols: usize,
 }
 
-/// Which index-domain kernel serves a GEMM shape.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum LutKernel {
-    /// Row-at-a-time pair-LUT gather ([`matmul_lut_bias`]).
-    PairLut,
-    /// Counter-array panel kernel ([`matmul_lut_bias_counter`]): walks
-    /// each weight column's codes once per activation-row panel.
-    CounterArray,
-}
-
-/// Minimum activation rows before the counter-array kernel's row panels
-/// amortize the per-code product-row fetch. Below this (notably the
-/// decode path's one-row GEMMs) the row kernel's single pass wins.
-const COUNTER_MIN_ROWS: usize = 4;
-
 /// Mokey quantized inference.
 #[derive(Debug)]
 pub struct QuantizedExecutor<'a> {
@@ -531,10 +518,6 @@ pub struct QuantizedExecutor<'a> {
     capture_names: BTreeSet<String>,
     /// Harvested codes, drained via [`QuantizedExecutor::take_captured`].
     captured: BTreeMap<String, CapturedCodes>,
-    /// Cached kernel choice per GEMM shape `(m, k, n)`: the heuristic is
-    /// decided once per shape per executor instead of re-derived on every
-    /// call (the executor's `mode` is fixed, so shape alone keys it).
-    kernel_choice: BTreeMap<(usize, usize, usize), LutKernel>,
 }
 
 impl<'a> QuantizedExecutor<'a> {
@@ -553,7 +536,6 @@ impl<'a> QuantizedExecutor<'a> {
             act_codes: BTreeMap::new(),
             capture_names: BTreeSet::new(),
             captured: BTreeMap::new(),
-            kernel_choice: BTreeMap::new(),
         }
     }
 
@@ -697,13 +679,12 @@ impl Executor for QuantizedExecutor<'_> {
     /// Index-domain GEMM: gathers precomputed centroid products for the
     /// retained activation codes instead of multiplying decoded floats.
     /// Bit-identical to the float `x·W + b` on this executor's decoded
-    /// operands — both [`matmul_lut_bias`] and [`matmul_lut_bias_counter`]
-    /// reproduce `matmul_bias`'s exact reduction (ascending-`k`, one add
-    /// per element, identical zero-skip). Which kernel serves the GEMM is
-    /// a per-shape choice cached in `kernel_choice` and surfaced through
-    /// [`QuantizedStats`]; it never affects the output bits. Returns
-    /// `None` (float fallback) whenever the weight has no retained codes
-    /// or the retained activation doesn't match.
+    /// operands — [`matmul_lut_bias`] reproduces `matmul_bias`'s exact
+    /// reduction (ascending-`k`, one add per element, identical
+    /// zero-skip). [`QuantizedStats`] attributes the GEMM to the kernel's
+    /// quad or row path by its height. Returns `None` (float fallback)
+    /// whenever the weight has no retained codes or the retained
+    /// activation doesn't match.
     fn linear_packed(
         &mut self,
         weight_name: &str,
@@ -721,30 +702,12 @@ impl Executor for QuantizedExecutor<'_> {
         if stored.rows != x.rows() || stored.cols != x.cols() || k != x.cols() || b.len() != n {
             return None;
         }
-        let kernel = *self.kernel_choice.entry((stored.rows, k, n)).or_insert(
-            if stored.rows >= COUNTER_MIN_ROWS {
-                LutKernel::CounterArray
-            } else {
-                LutKernel::PairLut
-            },
-        );
-        Some(match kernel {
-            LutKernel::CounterArray => {
-                self.stats.counter_array_gemms += 1;
-                matmul_lut_bias_counter(
-                    &stored.bits,
-                    stored.rows,
-                    stored.cols,
-                    &entry.codes,
-                    b,
-                    &entry.lut,
-                )
-            }
-            LutKernel::PairLut => {
-                self.stats.pair_lut_gemms += 1;
-                matmul_lut_bias(&stored.bits, stored.rows, stored.cols, &entry.codes, b, &entry.lut)
-            }
-        })
+        if stored.rows >= QUAD_ROWS {
+            self.stats.counter_array_gemms += 1;
+        } else {
+            self.stats.pair_lut_gemms += 1;
+        }
+        Some(matmul_lut_bias(&stored.bits, stored.rows, stored.cols, &entry.codes, b, &entry.lut))
     }
 }
 
@@ -964,8 +927,8 @@ mod tests {
         let hidden = model.forward(&mut exec, &tokens);
         let out = model.apply_head(&mut exec, &hidden);
         // Every retained GEMM ran on codes — nothing fell back: the 11-row
-        // layer GEMMs take the counter-array panel kernel and the one-row
-        // head GEMMs take the pair-LUT row kernel.
+        // layer GEMMs take the kernel's counter-array quad path and the
+        // one-row head GEMMs its pair-LUT row path.
         let stats = exec.stats();
         assert_eq!(stats.counter_array_gemms + stats.pair_lut_gemms, 2 * 6 + 2);
         assert_eq!(stats.counter_array_gemms, 2 * 6);
@@ -976,6 +939,70 @@ mod tests {
         // Decoded mode served nothing from LUT kernels.
         assert_eq!(decoded_stats.counter_array_gemms, 0);
         assert_eq!(decoded_stats.pair_lut_gemms, 0);
+    }
+
+    #[test]
+    fn index_domain_kernel_attribution_by_gemm_height() {
+        // A GEMM of at least `QUAD_ROWS` rows counts as a counter-array
+        // GEMM, a shorter one as a pair-LUT GEMM; the serving benchmark
+        // reports both counts per forward.
+        use crate::config::ModelConfig;
+        use crate::decode::DecodeSession;
+        use crate::model::Head;
+        use crate::quantize::QuantizedModel;
+        use crate::QuantizeSpec;
+
+        let config = ModelConfig {
+            name: "exec-lut-attribution".into(),
+            layers: 2,
+            hidden: 32,
+            heads: 2,
+            ff: 64,
+            vocab: 200,
+            max_seq: 16,
+        };
+        let model = Model::synthesize(&config, Head::Classification { classes: 3 }, 13);
+        let profile: Vec<Vec<usize>> = (0..2).map(|s| model.random_tokens(12, 110 + s)).collect();
+        let (qm, _) =
+            QuantizedModel::prepare(&model, QuantizeSpec::weights_and_activations(), &profile);
+        let ctx = qm.context();
+        let attribution = |s: QuantizedStats| (s.counter_array_gemms, s.pair_lut_gemms);
+
+        // One packed group of four: every layer GEMM and, at exactly
+        // `QUAD_ROWS` pooled rows, both head GEMMs take the quad path.
+        let batch: Vec<Vec<usize>> = [12usize, 11, 10, 12]
+            .iter()
+            .enumerate()
+            .map(|(i, &len)| model.random_tokens(len, 120 + i as u64))
+            .collect();
+        let decoded = ctx.infer_batch_mode(&model, &batch, ExecMode::Decoded);
+        let indexed = ctx.infer_batch_mode(&model, &batch, ExecMode::IndexDomain);
+        assert_eq!(indexed.packing.packed_batches, 1);
+        assert_eq!(decoded.results, indexed.results);
+        assert_eq!(attribution(indexed.total), (2 * 6 + 2, 0));
+        assert_eq!(attribution(decoded.total), (0, 0));
+
+        // One solo forward + head: 9-row layer GEMMs, one-row head GEMMs.
+        let tokens = model.random_tokens(9, 130);
+        let mut exec = QuantizedExecutor::with_mode(ctx, ExecMode::IndexDomain);
+        let out = model.infer(&mut exec, &tokens);
+        assert_eq!((out, exec.stats()), qm.infer(&tokens));
+        assert_eq!(attribution(exec.stats()), (2 * 6, 2));
+
+        // One decode step: a one-row pass through every layer GEMM.
+        let prompt = model.random_tokens(6, 140);
+        let sessions = [ExecMode::Decoded, ExecMode::IndexDomain].map(|mode| {
+            let mut session = DecodeSession::prefill(&model, ctx, &prompt, 2, None, mode);
+            let prefill = session.stats();
+            session.step(&model, ctx);
+            let step = session.stats().diff(&prefill);
+            (session.into_result(), step)
+        });
+        let [(d_result, d_step), (i_result, i_step)] = sessions;
+        assert_eq!(d_result, i_result);
+        assert_eq!(d_step, i_step);
+        assert_eq!(attribution(i_step), (0, 2 * 6));
+        assert_eq!(attribution(d_step), (0, 0));
     }
 
     #[test]
