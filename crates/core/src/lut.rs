@@ -308,35 +308,29 @@ pub fn matmul_lut_bias(
                 }
             }
         } else {
-            // The ragged tail, or a quad holding SKIP_CODE padding rows.
+            // The row path, for the ragged tail or a quad holding
+            // SKIP_CODE padding rows (which keep their bias): one pair-LUT
+            // product row per contributing `k`.
             for (r, o_row) in chunk.chunks_mut(n).enumerate() {
-                let i = i0 + r;
-                lut_row(&a_bits[i * k..(i + 1) * k], w_codes, lut, o_row);
+                let a_row = &a_bits[(i0 + r) * k..(i0 + r + 1) * k];
+                if a_row.first() == Some(&SKIP_CODE) {
+                    continue;
+                }
+                for (&ca, w_row) in a_row.iter().zip(w_codes.chunks_exact(n)) {
+                    debug_assert!(ca != SKIP_CODE, "skip sentinel inside an encoded row");
+                    if !lut.activation_is_zero(ca) {
+                        add_product_row(lut.f32_row(ca), w_row, o_row);
+                    }
+                }
             }
         }
     }
     Matrix::from_vec(m, n, data)
 }
 
-/// The row path of [`matmul_lut_bias`]: one activation row against the
-/// whole `k × n` weight, one pair-LUT product row per contributing `k`.
-/// A [`SKIP_CODE`] row keeps its bias.
-#[inline]
-fn lut_row(a_row: &[u8], w_codes: &[Code], lut: &PairLut, o_row: &mut [f32]) {
-    if a_row.first() == Some(&SKIP_CODE) {
-        return;
-    }
-    let n = o_row.len();
-    for (&ca, w_row) in a_row.iter().zip(w_codes.chunks_exact(n)) {
-        debug_assert!(ca != SKIP_CODE, "skip sentinel inside an encoded row");
-        if !lut.activation_is_zero(ca) {
-            add_product_row(lut.f32_row(ca), w_row, o_row);
-        }
-    }
-}
-
 /// Adds one activation code's products against one weight row of codes
-/// into an output row: `o[j] += prod_row[w_row[j]]`.
+/// into an output row, `o[j] += prod_row[w_row[j]]` — the step both of
+/// [`matmul_lut_bias`]'s paths share for a row that contributes alone.
 #[inline]
 fn add_product_row(prod_row: &[f32], w_row: &[Code], o_row: &mut [f32]) {
     for (o, &cw) in o_row.iter_mut().zip(w_row) {
