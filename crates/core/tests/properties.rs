@@ -36,6 +36,31 @@ fn dict_for(values: &[f32], policy: OutlierPolicy) -> TensorDict {
     TensorDict::for_values(values, &ExpCurve::paper(), &config).expect("non-degenerate fixture")
 }
 
+/// Operands for the served LUT kernel: `m×k` activation code bytes with the
+/// rows flagged in `skip_mask` overwritten by `SKIP_CODE` padding, the
+/// encoded activations and `k×n` weights, their pair LUT and a bias row.
+fn padded_lut_operands(
+    a_vals: &[f32],
+    w_vals: &[f32],
+    (m, k, n): (usize, usize, usize),
+    skip_mask: &[bool],
+    outlier_heavy: bool,
+) -> (Vec<u8>, QuantizedTensor, QuantizedTensor, PairLut, Vec<f32>) {
+    let policy =
+        if outlier_heavy { OutlierPolicy::Fraction(0.2) } else { OutlierPolicy::CurveMidpoint };
+    let a = Matrix::from_vec(m, k, a_vals[..m * k].to_vec());
+    let w = Matrix::from_vec(k, n, w_vals[..k * n].to_vec());
+    let qa = QuantizedTensor::encode(&a, &dict_for(a_vals, policy));
+    let qw = QuantizedTensor::encode(&w, &dict_for(w_vals, policy));
+    let lut = PairLut::new(qa.dict(), qw.dict());
+    let bias: Vec<f32> = (0..n).map(|j| j as f32 * 0.05 - 0.1).collect();
+    let mut a_bits: Vec<u8> = qa.codes().iter().map(|c| c.to_bits()).collect();
+    for r in (0..m).filter(|&r| skip_mask[r]) {
+        a_bits[r * k..(r + 1) * k].fill(SKIP_CODE);
+    }
+    (a_bits, qa, qw, lut, bias)
+}
+
 proptest! {
     /// THE invariant: index-domain == decoded reference, exactly.
     #[test]
@@ -134,13 +159,42 @@ proptest! {
     }
 
     /// The served LUT kernel is bit-identical to the dense float GEMM on
-    /// decoded operands, row for row, and its quad path to the row path
-    /// (the same rows as one-row calls) — across `m` on both sides of the
-    /// quad height, including packed layouts where `SKIP_CODE` padding
-    /// rows land anywhere inside or across quads and must emit the bias
-    /// without disturbing their neighbours.
+    /// decoded operands, row for row — including packed layouts where some
+    /// rows are never-encoded padding (the skip sentinel) and must emit the
+    /// bias without disturbing their neighbours.
     #[test]
     fn matmul_lut_bias_equals_dense_gemm_with_padding_rows(
+        a_vals in tensor_strategy(),
+        w_vals in tensor_strategy(),
+        m in 1usize..6,
+        n in 1usize..7,
+        skip_mask in prop::collection::vec(prop::bool::ANY, 6),
+        outlier_heavy in prop::bool::ANY,
+    ) {
+        let k = (a_vals.len() / m).min(w_vals.len() / n).max(1);
+        prop_assume!(a_vals.len() >= m * k && w_vals.len() >= k * n);
+        let (a_bits, qa, qw, lut, bias) =
+            padded_lut_operands(&a_vals, &w_vals, (m, k, n), &skip_mask, outlier_heavy);
+        let fast = matmul_lut_bias(&a_bits, m, k, &qw, &bias, &lut);
+        let reference = qa.decode().matmul_bias(&qw.decode(), &bias);
+        for (r, &skipped) in skip_mask.iter().enumerate().take(m) {
+            if skipped {
+                prop_assert_eq!(fast.row(r), bias.as_slice());
+            } else {
+                for (x, y) in fast.row(r).iter().zip(reference.row(r)) {
+                    prop_assert_eq!(x.to_bits(), y.to_bits(), "row {} diverged", r);
+                }
+            }
+        }
+    }
+
+    /// The served LUT kernel's quad path is bit-identical to its row path
+    /// (the same rows as one-row calls) and to the dense float GEMM on
+    /// decoded operands, row for row — across `m` on both sides of the quad
+    /// height, with `SKIP_CODE` padding rows landing anywhere inside or
+    /// across its 4-row quads.
+    #[test]
+    fn matmul_lut_bias_counter_equals_dense_gemm_with_padding_rows(
         a_vals in tensor_strategy(),
         w_vals in tensor_strategy(),
         m in 1usize..10,
@@ -150,25 +204,8 @@ proptest! {
     ) {
         let k = (a_vals.len() / m).min(w_vals.len() / n).max(1);
         prop_assume!(a_vals.len() >= m * k && w_vals.len() >= k * n);
-        let policy = if outlier_heavy {
-            OutlierPolicy::Fraction(0.2)
-        } else {
-            OutlierPolicy::CurveMidpoint
-        };
-        let a = Matrix::from_vec(m, k, a_vals[..m * k].to_vec());
-        let w = Matrix::from_vec(k, n, w_vals[..k * n].to_vec());
-        let qa = QuantizedTensor::encode(&a, &dict_for(&a_vals, policy));
-        let qw = QuantizedTensor::encode(&w, &dict_for(&w_vals, policy));
-        let lut = PairLut::new(qa.dict(), qw.dict());
-        let bias: Vec<f32> = (0..n).map(|j| j as f32 * 0.05 - 0.1).collect();
-        let mut a_bits: Vec<u8> = qa.codes().iter().map(|c| c.to_bits()).collect();
-        for r in 0..m {
-            if skip_mask[r] {
-                for b in &mut a_bits[r * k..(r + 1) * k] {
-                    *b = SKIP_CODE;
-                }
-            }
-        }
+        let (a_bits, qa, qw, lut, bias) =
+            padded_lut_operands(&a_vals, &w_vals, (m, k, n), &skip_mask, outlier_heavy);
         let fast = matmul_lut_bias(&a_bits, m, k, &qw, &bias, &lut);
         let reference = qa.decode().matmul_bias(&qw.decode(), &bias);
         for (r, &skipped) in skip_mask.iter().enumerate().take(m) {
