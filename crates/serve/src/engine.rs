@@ -318,6 +318,44 @@ enum WorkItem {
     Generate(Box<GenJob>),
 }
 
+/// The claim a submission mints — a [`Ticket`] for a one-shot, a
+/// [`GenTicket`] for a generation — with the queue item that answers it
+/// over a fresh channel, so one enqueue path serves both kinds.
+trait Claim: Sized {
+    fn mint(id: u64, tokens: Vec<usize>, max_tokens: usize, eos: Option<usize>)
+        -> (WorkItem, Self);
+}
+
+impl Claim for Ticket {
+    fn mint(id: u64, tokens: Vec<usize>, _: usize, _: Option<usize>) -> (WorkItem, Self) {
+        let (tx, rx) = mpsc::channel();
+        let request = Request { id, tokens, accepted_at: Instant::now(), tx };
+        (WorkItem::OneShot(request), Ticket { id, rx })
+    }
+}
+
+impl Claim for GenTicket {
+    fn mint(
+        id: u64,
+        prompt: Vec<usize>,
+        max_tokens: usize,
+        eos: Option<usize>,
+    ) -> (WorkItem, Self) {
+        let (tx, rx) = mpsc::channel();
+        let accepted_at = Instant::now();
+        let job = GenJob {
+            id,
+            state: GenState::Pending { prompt, max_tokens, eos },
+            accepted_at,
+            last_token_at: accepted_at,
+            queue_wait: None,
+            steps: 0,
+            tx,
+        };
+        (WorkItem::Generate(Box::new(job)), GenTicket { id, rx })
+    }
+}
+
 /// One registered model inside a running engine: the prepared model, its
 /// batching policy (per-model overrides already resolved against the
 /// engine-global [`ServeConfig`]), and its own metrics scope.
@@ -351,6 +389,16 @@ struct Shared<'m> {
     next_id: AtomicU64,
 }
 
+impl Shared<'_> {
+    /// Records one event into a model's metrics and into the aggregate —
+    /// the one place that keeps each per-model counter column summing to
+    /// the aggregate.
+    fn record(&self, slot: &ModelSlot<'_>, event: impl Fn(&Metrics)) {
+        event(&self.metrics);
+        event(&slot.metrics);
+    }
+}
+
 /// The client face of a running engine: submit requests (to any
 /// registered model), read live metrics. `Sync`, so one handle can drive
 /// many client threads.
@@ -375,35 +423,68 @@ impl ServeHandle<'_> {
         Ok((resolved, slot))
     }
 
-    fn admit(&self, slot: &ModelSlot<'_>, tokens: &[usize]) -> Result<(), SubmitError> {
-        let reject = |err| {
-            self.shared.metrics.note_rejected_invalid();
-            slot.metrics.note_rejected_invalid();
-            Err(err)
+    /// Admission for every submission. A one-shot is a submission with
+    /// no token budget and no EOS; a generation's `budget` must be
+    /// non-zero and fit the model's sequence limit together with the
+    /// prompt, its EOS token (if any) must be in vocabulary, and the
+    /// model must have K/V activation dictionaries.
+    fn admit(
+        &self,
+        model: ModelId,
+        slot: &ModelSlot<'_>,
+        tokens: &[usize],
+        budget: Option<usize>,
+        eos: Option<usize>,
+    ) -> Result<(), SubmitError> {
+        let len = tokens.len().saturating_add(budget.unwrap_or(0));
+        let (max_seq, vocab) = (slot.model.max_seq(), slot.model.vocab());
+        let err = if tokens.is_empty() || budget == Some(0) {
+            SubmitError::EmptySequence
+        } else if len > max_seq {
+            SubmitError::SequenceTooLong { len, max_seq }
+        } else if let Some(&token) = tokens.iter().chain(&eos).find(|&&t| t >= vocab) {
+            SubmitError::TokenOutOfVocab { token, vocab }
+        } else if budget.is_some() && !slot.model.context().act_dicts.contains_key("L0.attn.k") {
+            SubmitError::DecodeUnsupported { model }
+        } else {
+            return Ok(());
         };
-        if tokens.is_empty() {
-            return reject(SubmitError::EmptySequence);
-        }
-        let max_seq = slot.model.max_seq();
-        if tokens.len() > max_seq {
-            return reject(SubmitError::SequenceTooLong { len: tokens.len(), max_seq });
-        }
-        let vocab = slot.model.vocab();
-        if let Some(&token) = tokens.iter().find(|&&t| t >= vocab) {
-            return reject(SubmitError::TokenOutOfVocab { token, vocab });
-        }
-        Ok(())
+        self.shared.record(slot, Metrics::note_rejected_invalid);
+        Err(err)
     }
 
-    fn request(&self, tokens: Vec<usize>) -> (Request, Ticket) {
+    /// The one enqueue path behind every submission: resolve the model,
+    /// admit, mint the id, the claim and its reply channel, push (waiting
+    /// for space when `blocking`), and account the outcome.
+    fn enqueue<C: Claim>(
+        &self,
+        model: ModelId,
+        tokens: Vec<usize>,
+        budget: Option<usize>,
+        eos: Option<usize>,
+        blocking: bool,
+    ) -> Result<C, SubmitError> {
+        let (model, slot) = self.slot(model)?;
+        self.admit(model, slot, &tokens, budget, eos)?;
         let id = self.shared.next_id.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = mpsc::channel();
-        (Request { id, tokens, accepted_at: Instant::now(), tx }, Ticket { id, rx })
-    }
-
-    fn note_submitted(&self, slot: &ModelSlot<'_>) {
-        self.shared.metrics.note_submitted();
-        slot.metrics.note_submitted();
+        let (item, claim) = C::mint(id, tokens, budget.unwrap_or(0), eos);
+        let queue = &self.shared.queue;
+        let pushed =
+            if blocking { queue.push_blocking(model, item) } else { queue.try_push(model, item) };
+        let (event, outcome): (fn(&Metrics), _) = match pushed {
+            Ok(_) => (Metrics::note_submitted, Ok(claim)),
+            Err(PushError::Full(_)) => (Metrics::note_rejected_full, Err(SubmitError::QueueFull)),
+            Err(PushError::QuotaExceeded(_)) => {
+                let quota = slot.queue_quota.unwrap_or(0).max(1);
+                (
+                    Metrics::note_rejected_quota,
+                    Err(SubmitError::ModelQuotaExceeded { model, quota }),
+                )
+            }
+            Err(PushError::Closed(_)) => return Err(SubmitError::ShuttingDown),
+        };
+        self.shared.record(slot, event);
+        outcome
     }
 
     /// Submits a request to the default model ([`ModelId::DEFAULT`] — the
@@ -414,7 +495,7 @@ impl ServeHandle<'_> {
     ///
     /// Everything [`ServeHandle::submit_to`] can return.
     pub fn submit(&self, tokens: Vec<usize>) -> Result<Ticket, SubmitError> {
-        self.submit_to(ModelId::DEFAULT, tokens)
+        self.enqueue(ModelId::DEFAULT, tokens, None, None, true)
     }
 
     /// Submits a request to the default model without blocking.
@@ -423,12 +504,7 @@ impl ServeHandle<'_> {
     ///
     /// Everything [`ServeHandle::try_submit_to`] can return.
     pub fn try_submit(&self, tokens: Vec<usize>) -> Result<Ticket, SubmitError> {
-        self.try_submit_to(ModelId::DEFAULT, tokens)
-    }
-
-    fn note_rejected_quota(&self, slot: &ModelSlot<'_>) {
-        self.shared.metrics.note_rejected_quota();
-        slot.metrics.note_rejected_quota();
+        self.enqueue(ModelId::DEFAULT, tokens, None, None, false)
     }
 
     /// Submits a request to a specific registered model, blocking while
@@ -449,23 +525,7 @@ impl ServeHandle<'_> {
     /// the flooder camp on shared capacity), or
     /// [`SubmitError::ShuttingDown`].
     pub fn submit_to(&self, model: ModelId, tokens: Vec<usize>) -> Result<Ticket, SubmitError> {
-        let (model, slot) = self.slot(model)?;
-        self.admit(slot, &tokens)?;
-        let (request, ticket) = self.request(tokens);
-        match self.shared.queue.push_blocking(model, WorkItem::OneShot(request)) {
-            Ok(_) => {
-                self.note_submitted(slot);
-                Ok(ticket)
-            }
-            Err(PushError::QuotaExceeded(_)) => {
-                self.note_rejected_quota(slot);
-                Err(SubmitError::ModelQuotaExceeded {
-                    model,
-                    quota: slot.queue_quota.unwrap_or(0).max(1),
-                })
-            }
-            Err(_) => Err(SubmitError::ShuttingDown),
-        }
+        self.enqueue(model, tokens, None, None, true)
     }
 
     /// Submits a request to a specific registered model without blocking
@@ -476,86 +536,7 @@ impl ServeHandle<'_> {
     /// [`SubmitError::QueueFull`] at capacity, plus everything
     /// [`ServeHandle::submit_to`] can return.
     pub fn try_submit_to(&self, model: ModelId, tokens: Vec<usize>) -> Result<Ticket, SubmitError> {
-        let (model, slot) = self.slot(model)?;
-        self.admit(slot, &tokens)?;
-        let (request, ticket) = self.request(tokens);
-        match self.shared.queue.try_push(model, WorkItem::OneShot(request)) {
-            Ok(_) => {
-                self.note_submitted(slot);
-                Ok(ticket)
-            }
-            Err(PushError::Full(_)) => {
-                self.shared.metrics.note_rejected_full();
-                slot.metrics.note_rejected_full();
-                Err(SubmitError::QueueFull)
-            }
-            Err(PushError::QuotaExceeded(_)) => {
-                self.note_rejected_quota(slot);
-                Err(SubmitError::ModelQuotaExceeded {
-                    model,
-                    quota: slot.queue_quota.unwrap_or(0).max(1),
-                })
-            }
-            Err(PushError::Closed(_)) => Err(SubmitError::ShuttingDown),
-        }
-    }
-
-    /// Generation admission: everything one-shot admission checks, plus
-    /// the token budget must be non-zero, fit the model's sequence limit
-    /// together with the prompt, and the EOS token (if any) must be in
-    /// vocabulary. The model must have K/V activation dictionaries.
-    fn admit_generate(
-        &self,
-        slot: &ModelSlot<'_>,
-        model: ModelId,
-        prompt: &[usize],
-        max_tokens: usize,
-        eos: Option<usize>,
-    ) -> Result<(), SubmitError> {
-        let reject = |err| {
-            self.shared.metrics.note_rejected_invalid();
-            slot.metrics.note_rejected_invalid();
-            Err(err)
-        };
-        if prompt.is_empty() || max_tokens == 0 {
-            return reject(SubmitError::EmptySequence);
-        }
-        let max_seq = slot.model.max_seq();
-        if prompt.len() + max_tokens > max_seq {
-            return reject(SubmitError::SequenceTooLong {
-                len: prompt.len() + max_tokens,
-                max_seq,
-            });
-        }
-        let vocab = slot.model.vocab();
-        if let Some(&token) = prompt.iter().chain(eos.as_ref()).find(|&&t| t >= vocab) {
-            return reject(SubmitError::TokenOutOfVocab { token, vocab });
-        }
-        if !slot.model.context().act_dicts.contains_key("L0.attn.k") {
-            return reject(SubmitError::DecodeUnsupported { model });
-        }
-        Ok(())
-    }
-
-    fn gen_job(
-        &self,
-        prompt: Vec<usize>,
-        max_tokens: usize,
-        eos: Option<usize>,
-    ) -> (GenJob, GenTicket) {
-        let id = self.shared.next_id.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = mpsc::channel();
-        let accepted_at = Instant::now();
-        let job = GenJob {
-            id,
-            state: GenState::Pending { prompt, max_tokens, eos },
-            accepted_at,
-            last_token_at: accepted_at,
-            queue_wait: None,
-            steps: 0,
-            tx,
-        };
-        (job, GenTicket { id, rx })
+        self.enqueue(model, tokens, None, None, false)
     }
 
     /// Submits a generation to the default model, blocking while the
@@ -573,7 +554,7 @@ impl ServeHandle<'_> {
         max_tokens: usize,
         eos: Option<usize>,
     ) -> Result<GenTicket, SubmitError> {
-        self.submit_generate_to(ModelId::DEFAULT, prompt, max_tokens, eos)
+        self.enqueue(ModelId::DEFAULT, prompt, Some(max_tokens), eos, true)
     }
 
     /// Submits a generation to a specific registered model, blocking
@@ -598,23 +579,7 @@ impl ServeHandle<'_> {
         max_tokens: usize,
         eos: Option<usize>,
     ) -> Result<GenTicket, SubmitError> {
-        let (model, slot) = self.slot(model)?;
-        self.admit_generate(slot, model, &prompt, max_tokens, eos)?;
-        let (job, ticket) = self.gen_job(prompt, max_tokens, eos);
-        match self.shared.queue.push_blocking(model, WorkItem::Generate(Box::new(job))) {
-            Ok(_) => {
-                self.note_submitted(slot);
-                Ok(ticket)
-            }
-            Err(PushError::QuotaExceeded(_)) => {
-                self.note_rejected_quota(slot);
-                Err(SubmitError::ModelQuotaExceeded {
-                    model,
-                    quota: slot.queue_quota.unwrap_or(0).max(1),
-                })
-            }
-            Err(_) => Err(SubmitError::ShuttingDown),
-        }
+        self.enqueue(model, prompt, Some(max_tokens), eos, true)
     }
 
     /// Submits a generation to a specific registered model without
@@ -631,28 +596,7 @@ impl ServeHandle<'_> {
         max_tokens: usize,
         eos: Option<usize>,
     ) -> Result<GenTicket, SubmitError> {
-        let (model, slot) = self.slot(model)?;
-        self.admit_generate(slot, model, &prompt, max_tokens, eos)?;
-        let (job, ticket) = self.gen_job(prompt, max_tokens, eos);
-        match self.shared.queue.try_push(model, WorkItem::Generate(Box::new(job))) {
-            Ok(_) => {
-                self.note_submitted(slot);
-                Ok(ticket)
-            }
-            Err(PushError::Full(_)) => {
-                self.shared.metrics.note_rejected_full();
-                slot.metrics.note_rejected_full();
-                Err(SubmitError::QueueFull)
-            }
-            Err(PushError::QuotaExceeded(_)) => {
-                self.note_rejected_quota(slot);
-                Err(SubmitError::ModelQuotaExceeded {
-                    model,
-                    quota: slot.queue_quota.unwrap_or(0).max(1),
-                })
-            }
-            Err(PushError::Closed(_)) => Err(SubmitError::ShuttingDown),
-        }
+        self.enqueue(model, prompt, Some(max_tokens), eos, false)
     }
 
     /// Current submission-queue depth (all models).
@@ -728,19 +672,16 @@ fn serve_oneshot_batch(
     formed_at: Instant,
     batch: Vec<Request>,
 ) {
-    shared.metrics.note_batch(batch.len());
-    slot.metrics.note_batch(batch.len());
+    shared.record(slot, |m| m.note_batch(batch.len()));
     let batch_size = batch.len();
     let (requests, tokens): (Vec<_>, Vec<_>) =
         batch.into_iter().map(|r| ((r.id, r.accepted_at, r.tx), r.tokens)).unzip();
     let run = slot.model.infer_batch_mode(&tokens, slot.mode);
-    shared.metrics.note_packing(&run.packing);
-    slot.metrics.note_packing(&run.packing);
+    shared.record(slot, |m| m.note_packing(&run.packing));
     for ((id, accepted_at, tx), (output, stats)) in requests.into_iter().zip(run.results) {
         let queue_wait = formed_at.duration_since(accepted_at);
         let latency = accepted_at.elapsed();
-        shared.metrics.note_completed(latency, queue_wait, &stats);
-        slot.metrics.note_completed(latency, queue_wait, &stats);
+        shared.record(slot, |m| m.note_completed(latency, queue_wait, &stats));
         // A client that dropped its ticket just doesn't read the
         // response; the request still counts as served.
         let _ = tx.send(Response { id, model, output, stats, batch_size, queue_wait, latency });
@@ -757,8 +698,7 @@ fn serve_decode_slice(
     formed_at: Instant,
     jobs: Vec<GenJob>,
 ) {
-    shared.metrics.note_decode_step();
-    slot.metrics.note_decode_step();
+    shared.record(slot, Metrics::note_decode_step);
     for mut job in jobs {
         job.steps += 1;
         if job.queue_wait.is_none() {
@@ -808,8 +748,7 @@ fn advance_generation(shared: &Shared<'_>, slot: &ModelSlot<'_>, job: &mut GenJo
     let now = Instant::now();
     let inter_token = now.duration_since(job.last_token_at);
     job.last_token_at = now;
-    shared.metrics.note_generated(inter_token);
-    slot.metrics.note_generated(inter_token);
+    shared.record(slot, |m| m.note_generated(inter_token));
     // A client that dropped its ticket just doesn't read the stream.
     let _ = job.tx.send(GenUpdate::Token { index, token });
     session.is_done()
@@ -823,8 +762,7 @@ fn finish_generation(shared: &Shared<'_>, model: ModelId, slot: &ModelSlot<'_>, 
     let result = session.into_result();
     let queue_wait = job.queue_wait.unwrap_or_default();
     let latency = job.accepted_at.elapsed();
-    shared.metrics.note_completed(latency, queue_wait, &stats);
-    slot.metrics.note_completed(latency, queue_wait, &stats);
+    shared.record(slot, |m| m.note_completed(latency, queue_wait, &stats));
     let _ = job.tx.send(GenUpdate::Done(GenerateResponse {
         id: job.id,
         model,

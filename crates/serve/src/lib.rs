@@ -12,8 +12,9 @@
 //! per-model + aggregate metrics) runs a queue → batcher → worker-pool
 //! engine around them:
 //!
-//! * **admission control** — a model-tagged
-//!   [`TaggedQueue`](queue::TaggedQueue) validates requests (vocabulary, sequence length) and bounds the
+//! * **admission control** — [`ServeHandle`] validates every submission
+//!   (vocabulary, sequence length, token budget) on one admission path,
+//!   and a model-tagged [`TaggedQueue`](queue::TaggedQueue) bounds the
 //!   backlog; [`ServeHandle::submit`] applies backpressure by blocking,
 //!   [`ServeHandle::try_submit`] bounces with
 //!   [`SubmitError::QueueFull`];

@@ -317,7 +317,8 @@ pub struct MetricsReport {
     pub packed_batches: u64,
     /// Requests served inside packed groups.
     pub packed_requests: u64,
-    /// Requests that fell back to the per-request loop.
+    /// Requests that ran alone, as a pack of one (singleton groups and
+    /// degenerate sequences).
     pub solo_requests: u64,
     /// Fraction of packed rows that were padding (0.0 when nothing
     /// packed).

@@ -72,6 +72,7 @@ pub struct NetHandle<'a, 'e> {
     addr: SocketAddr,
     engine: &'a ServeHandle<'e>,
     accepted: &'a AtomicU64,
+    conns: &'a OpenConns,
 }
 
 impl<'e> NetHandle<'_, 'e> {
@@ -90,7 +91,17 @@ impl<'e> NetHandle<'_, 'e> {
     pub fn accepted(&self) -> u64 {
         self.accepted.load(Ordering::Relaxed)
     }
+
+    /// Connections open right now: accepted and still being served.
+    pub fn open_connections(&self) -> usize {
+        self.conns.lock().expect("conn list poisoned").len()
+    }
 }
+
+/// A clone of every open connection's socket, keyed by accept order, so
+/// shutdown can unblock readers parked in `read` via `Shutdown::Read`.
+/// Each connection removes its own entry when it ends.
+type OpenConns = Mutex<HashMap<u64, TcpStream>>;
 
 /// What one request's journey through a connection produced: either a
 /// claim on a future engine response or an immediate typed rejection.
@@ -165,28 +176,29 @@ where
     let accepted = AtomicU64::new(0);
 
     Ok(serve_registry(registry, config, |handle| {
-        // Clones of every accepted socket, so shutdown can unblock
-        // readers parked in `read` via `Shutdown::Read`.
-        let conns: Mutex<Vec<TcpStream>> = Mutex::new(Vec::new());
+        let conns = OpenConns::default();
         std::thread::scope(|scope| {
             let acceptor = scope.spawn(|| {
                 while !shutdown.load(Ordering::SeqCst) {
                     match listener.accept() {
                         Ok((stream, _peer)) => {
+                            let id = accepted.fetch_add(1, Ordering::Relaxed);
+                            // Without a clone, shutdown could not unblock
+                            // this connection's reader: close it unserved.
+                            let Ok(clone) = stream.try_clone() else { continue };
                             let _ = stream.set_nodelay(true);
                             let _ = stream.set_write_timeout(net.write_timeout);
-                            accepted.fetch_add(1, Ordering::Relaxed);
-                            if let Ok(clone) = stream.try_clone() {
-                                conns.lock().expect("conn list poisoned").push(clone);
-                            }
-                            let names = &names;
-                            let max = net.max_frame_bytes;
-                            scope.spawn(move || serve_connection(stream, handle, names, max));
+                            conns.lock().expect("conn list poisoned").insert(id, clone);
+                            let (names, conns, max) = (&names, &conns, net.max_frame_bytes);
+                            scope.spawn(move || {
+                                serve_connection(stream, handle, names, max);
+                                conns.lock().expect("conn list poisoned").remove(&id);
+                            });
                         }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(2));
-                        }
-                        Err(_) => break,
+                        // Nothing pending (`WouldBlock`), or a transient
+                        // failure such as running out of file
+                        // descriptors: back off and keep polling.
+                        Err(_) => std::thread::sleep(Duration::from_millis(2)),
                     }
                 }
             });
@@ -202,7 +214,7 @@ where
             // acceptor.
             struct DrainOnDrop<'s, 'a> {
                 shutdown: &'a AtomicBool,
-                conns: &'a Mutex<Vec<TcpStream>>,
+                conns: &'a OpenConns,
                 acceptor: Option<std::thread::ScopedJoinHandle<'s, ()>>,
             }
             impl Drop for DrainOnDrop<'_, '_> {
@@ -211,8 +223,8 @@ where
                     if let Some(acceptor) = self.acceptor.take() {
                         let _ = acceptor.join();
                     }
-                    if let Ok(mut conns) = self.conns.lock() {
-                        for conn in conns.drain(..) {
+                    if let Ok(conns) = self.conns.lock() {
+                        for conn in conns.values() {
                             let _ = conn.shutdown(Shutdown::Read);
                         }
                     }
@@ -220,7 +232,7 @@ where
             }
             let _drain =
                 DrainOnDrop { shutdown: &shutdown, conns: &conns, acceptor: Some(acceptor) };
-            f(&NetHandle { addr, engine: handle, accepted: &accepted })
+            f(&NetHandle { addr, engine: handle, accepted: &accepted, conns: &conns })
         })
     }))
 }
@@ -289,102 +301,72 @@ fn serve_connection(
         });
 
         loop {
-            match read_frame(&mut stream, max_frame_bytes) {
-                Ok(Some(Frame::Request { corr, model, tokens })) => {
-                    let outcome = match names.get(&model) {
-                        Some(&id) => match engine.submit_to(id, tokens) {
-                            Ok(ticket) => Outcome::Pending(corr, ticket),
-                            Err(err) => Outcome::Reject(
-                                corr,
-                                WireErrorCode::from_submit_error(&err),
-                                err.to_string(),
-                            ),
-                        },
-                        None => Outcome::Reject(
-                            corr,
-                            WireErrorCode::UnknownModel,
-                            format!("no model registered as {model:?}"),
-                        ),
-                    };
-                    if tx.send(outcome).is_err() {
-                        break;
-                    }
-                }
-                Ok(Some(Frame::Generate { corr, model, prompt, max_tokens, eos })) => {
-                    let outcome = match names.get(&model) {
-                        Some(&id) => match engine.submit_generate_to(
-                            id,
-                            prompt,
-                            max_tokens as usize,
-                            eos.map(|t| t as usize),
-                        ) {
-                            Ok(ticket) => Outcome::PendingGen(corr, ticket),
-                            Err(err) => Outcome::Reject(
-                                corr,
-                                WireErrorCode::from_submit_error(&err),
-                                err.to_string(),
-                            ),
-                        },
-                        None => Outcome::Reject(
-                            corr,
-                            WireErrorCode::UnknownModel,
-                            format!("no model registered as {model:?}"),
-                        ),
-                    };
-                    if tx.send(outcome).is_err() {
-                        break;
-                    }
-                }
-                Ok(Some(_)) => {
+            let (code, message) = match read_frame(&mut stream, max_frame_bytes) {
+                Ok(Some(frame)) => match route(engine, names, frame) {
+                    Some(outcome) => match tx.send(outcome) {
+                        Ok(()) => continue,
+                        Err(_) => break,
+                    },
                     // Response/error/generated frames only flow server →
                     // client.
-                    let _ = tx.send(Outcome::Reject(
-                        CORR_CONNECTION,
+                    None => (
                         WireErrorCode::MalformedFrame,
                         "clients may only send request frames".into(),
-                    ));
-                    break;
-                }
-                Ok(None) => break, // clean hangup at a frame boundary
-                Err(ReadFrameError::Wire(WireError::UnsupportedTag { tag })) => {
-                    // A well-framed payload with a tag we don't serve:
-                    // answer with the dedicated kind error, not a
-                    // generic malformed complaint, so newer clients can
-                    // tell "old server" from "corrupt stream".
-                    let _ = tx.send(Outcome::Reject(
-                        CORR_CONNECTION,
-                        WireErrorCode::UnsupportedKind,
-                        format!("unsupported frame tag 0x{tag:02x}"),
-                    ));
-                    break;
-                }
-                Err(ReadFrameError::Wire(WireError::FrameTooLarge { declared, max })) => {
-                    let _ = tx.send(Outcome::Reject(
-                        CORR_CONNECTION,
-                        WireErrorCode::FrameTooLarge,
-                        format!("frame of {declared} bytes exceeds the {max}-byte maximum"),
-                    ));
-                    break;
-                }
-                Err(ReadFrameError::Wire(e)) => {
-                    let _ = tx.send(Outcome::Reject(
-                        CORR_CONNECTION,
-                        WireErrorCode::MalformedFrame,
-                        e.to_string(),
-                    ));
-                    break;
-                }
-                Err(ReadFrameError::Io(_)) => break,
-            }
+                    ),
+                },
+                Ok(None) | Err(ReadFrameError::Io(_)) => break, // hangup or transport failure
+                Err(ReadFrameError::Wire(e)) => connection_error(&e),
+            };
+            let _ = tx.send(Outcome::Reject(CORR_CONNECTION, code, message));
+            break;
         }
         // Dropping the sender lets the writer drain its backlog and
         // exit; the scope joins it, so the connection never outlives its
         // in-flight responses.
         drop(tx);
     });
-    // The shutdown list still holds a clone of this socket, so dropping
-    // our handles alone would not send FIN; shut the socket down
-    // explicitly (after the writer flushed) so the peer sees a clean
-    // EOF.
-    let _ = stream.shutdown(Shutdown::Both);
+}
+
+/// Routes one client frame: resolves its model name and submits it to
+/// the engine. An unknown name or a refused submission becomes a typed
+/// [`Outcome::Reject`] under the frame's `corr`; `None` for a frame kind
+/// only servers send.
+fn route(
+    engine: &ServeHandle<'_>,
+    names: &HashMap<String, ModelId>,
+    frame: Frame,
+) -> Option<Outcome> {
+    let (corr, model, tokens, budget) = match frame {
+        Frame::Request { corr, model, tokens } => (corr, model, tokens, None),
+        Frame::Generate { corr, model, prompt, max_tokens, eos } => {
+            (corr, model, prompt, Some((max_tokens, eos)))
+        }
+        _ => return None,
+    };
+    let Some(&id) = names.get(&model) else {
+        let message = format!("no model registered as {model:?}");
+        return Some(Outcome::Reject(corr, WireErrorCode::UnknownModel, message));
+    };
+    let submitted = match budget {
+        None => engine.submit_to(id, tokens).map(|ticket| Outcome::Pending(corr, ticket)),
+        Some((max_tokens, eos)) => engine
+            .submit_generate_to(id, tokens, max_tokens as usize, eos.map(|t| t as usize))
+            .map(|ticket| Outcome::PendingGen(corr, ticket)),
+    };
+    Some(submitted.unwrap_or_else(|err| {
+        Outcome::Reject(corr, WireErrorCode::from_submit_error(&err), err.to_string())
+    }))
+}
+
+/// The connection-level error frame for bytes that do not form a frame
+/// this server serves. A well-framed payload with an unknown tag gets the
+/// dedicated kind error, not a generic malformed complaint, so newer
+/// clients can tell "old server" from "corrupt stream".
+fn connection_error(e: &WireError) -> (WireErrorCode, String) {
+    let code = match e {
+        WireError::UnsupportedTag { .. } => WireErrorCode::UnsupportedKind,
+        WireError::FrameTooLarge { .. } => WireErrorCode::FrameTooLarge,
+        WireError::Truncated | WireError::Malformed { .. } => WireErrorCode::MalformedFrame,
+    };
+    (code, e.to_string())
 }

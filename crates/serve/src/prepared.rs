@@ -122,8 +122,8 @@ impl PreparedModel {
 
     /// Quantized inference over a coalesced batch (the engine's batched
     /// path): same-length-bucketed groups run through the packed
-    /// tensor-level forward pass, singletons through the per-request
-    /// loop. Every output and per-request counter is bit-identical to a
+    /// tensor-level forward pass, singletons as a pack of one through the
+    /// same pass. Every output and per-request counter is bit-identical to a
     /// solo [`PreparedModel::infer`]; the returned [`BatchRun`] also
     /// reports how the batch was packed.
     pub fn infer_batch(&self, batch: &[Vec<usize>]) -> BatchRun {

@@ -69,6 +69,29 @@ impl<Tag: Copy + Eq + Hash, T> TaggedState<Tag, T> {
         }
     }
 
+    /// Moves queued items that are `in_group` into `batch` until it holds
+    /// `max_batch`, returning how many it took. Non-members keep their
+    /// position (the next pop's leader is still the oldest item).
+    fn take_group(
+        &mut self,
+        in_group: &impl Fn(&(Tag, T)) -> bool,
+        batch: &mut Vec<T>,
+        max_batch: usize,
+    ) -> usize {
+        let before = batch.len();
+        let mut idx = 0;
+        while batch.len() < max_batch && idx < self.items.len() {
+            if in_group(&self.items[idx]) {
+                let (tag, item) = self.items.remove(idx).expect("index in bounds");
+                self.release(tag);
+                batch.push(item);
+            } else {
+                idx += 1;
+            }
+        }
+        batch.len() - before
+    }
+
     fn over_quota(&self, tag: Tag) -> bool {
         match self.quotas.get(&tag) {
             Some(&quota) => self.occupancy.get(&tag).copied().unwrap_or(0) >= quota,
@@ -146,20 +169,7 @@ impl<Tag: Copy + Eq + Hash, T> TaggedQueue<Tag, T> {
     /// [`PushError::Full`] at capacity, [`PushError::Closed`] after
     /// [`TaggedQueue::close`] — all hand back the item.
     pub fn try_push(&self, tag: Tag, item: T) -> Result<usize, PushError<T>> {
-        let mut state = self.state.lock().expect("queue lock");
-        if state.closed {
-            return Err(PushError::Closed(item));
-        }
-        if state.over_quota(tag) {
-            return Err(PushError::QuotaExceeded(item));
-        }
-        if state.items.len() >= self.capacity {
-            return Err(PushError::Full(item));
-        }
-        let depth = state.admit(tag, item);
-        drop(state);
-        self.nonempty.notify_one();
-        Ok(depth)
+        self.push(tag, item, false)
     }
 
     /// Admits a tagged item, blocking while the *shared* queue is at
@@ -174,6 +184,12 @@ impl<Tag: Copy + Eq + Hash, T> TaggedQueue<Tag, T> {
     /// before and after any capacity wait), [`PushError::Closed`] when
     /// the queue closes before space appears.
     pub fn push_blocking(&self, tag: Tag, item: T) -> Result<usize, PushError<T>> {
+        self.push(tag, item, true)
+    }
+
+    /// The one push body: a full queue either waits for space (`wait`)
+    /// or bounces with [`PushError::Full`].
+    fn push(&self, tag: Tag, item: T, wait: bool) -> Result<usize, PushError<T>> {
         let mut state = self.state.lock().expect("queue lock");
         loop {
             if state.closed {
@@ -184,6 +200,9 @@ impl<Tag: Copy + Eq + Hash, T> TaggedQueue<Tag, T> {
             }
             if state.items.len() < self.capacity {
                 break;
+            }
+            if !wait {
+                return Err(PushError::Full(item));
             }
             state = self.space.wait(state).expect("queue lock");
         }
@@ -235,20 +254,10 @@ impl<Tag: Copy + Eq + Hash, T> TaggedQueue<Tag, T> {
         state.release(tag);
         let max_batch = max_batch(tag).max(1);
         let group = key(tag, &leader);
+        let in_group = |(t, item): &(Tag, T)| *t == tag && key(tag, item) == group;
         let mut batch = Vec::with_capacity(max_batch);
         batch.push(leader);
-        // Scan the backlog for group members; non-members keep their
-        // position (the next pop's leader is still the oldest item).
-        let mut idx = 0;
-        while batch.len() < max_batch && idx < state.items.len() {
-            if state.items[idx].0 == tag && key(tag, &state.items[idx].1) == group {
-                let (_, item) = state.items.remove(idx).expect("index in bounds");
-                state.release(tag);
-                batch.push(item);
-            } else {
-                idx += 1;
-            }
-        }
+        state.take_group(&in_group, &mut batch, max_batch);
         // The drain freed producer slots; wake blocked producers *before*
         // the coalescing wait (they acquire the lock once `wait_timeout`
         // releases it), so backpressured traffic can join this batch
@@ -262,21 +271,12 @@ impl<Tag: Copy + Eq + Hash, T> TaggedQueue<Tag, T> {
             while batch.len() < max_batch && !state.closed {
                 // Each wake re-scans the (bounded) backlog: the initial
                 // scan already removed matches, so this only finds new
-                // arrivals.
-                let mut took = false;
-                let mut idx = 0;
-                while batch.len() < max_batch && idx < state.items.len() {
-                    if state.items[idx].0 == tag && key(tag, &state.items[idx].1) == group {
-                        let (_, item) = state.items.remove(idx).expect("index in bounds");
-                        state.release(tag);
-                        batch.push(item);
+                // arrivals. Each one taken frees a producer slot.
+                let took = state.take_group(&in_group, &mut batch, max_batch);
+                if took > 0 {
+                    for _ in 0..took {
                         self.space.notify_one();
-                        took = true;
-                    } else {
-                        idx += 1;
                     }
-                }
-                if took {
                     continue;
                 }
                 // A wake consumed for a non-matching item must be
@@ -293,9 +293,7 @@ impl<Tag: Copy + Eq + Hash, T> TaggedQueue<Tag, T> {
                 let (guard, timeout) =
                     self.nonempty.wait_timeout(state, deadline - now).expect("queue lock");
                 state = guard;
-                if timeout.timed_out()
-                    && !state.items.iter().any(|(t, i)| *t == tag && key(tag, i) == group)
-                {
+                if timeout.timed_out() && !state.items.iter().any(in_group) {
                     break;
                 }
             }

@@ -337,6 +337,25 @@ impl Enc {
             self.f32_bits(x);
         }
     }
+    /// `[name_len u16][name bytes]`.
+    fn name(&mut self, name: &str) {
+        self.u16(name.len() as u16);
+        self.bytes(name.as_bytes());
+    }
+    /// `[n u32][token u32 ×n]`.
+    fn tokens(&mut self, tokens: &[usize]) {
+        self.u32(tokens.len() as u32);
+        for &t in tokens {
+            self.u32(t as u32);
+        }
+    }
+    /// `[queue_wait µs u64][latency µs u64][act_values u64][act_outliers u64]`.
+    fn timing(&mut self, queue_wait: Duration, latency: Duration, stats: &QuantizedStats) {
+        self.u64(queue_wait.as_micros() as u64);
+        self.u64(latency.as_micros() as u64);
+        self.u64(stats.act_values as u64);
+        self.u64(stats.act_outliers as u64);
+    }
 }
 
 /// Little-endian cursor over a frame payload.
@@ -384,6 +403,35 @@ impl<'a> Dec<'a> {
         }
         (0..n).map(|_| self.f32_bits(what)).collect()
     }
+    fn name(&mut self) -> Result<String, WireError> {
+        let len = self.u16("model name length")? as usize;
+        let name = self.take(len, "model name bytes")?;
+        let name = std::str::from_utf8(name)
+            .map_err(|_| WireError::Malformed { detail: "model name utf-8" })?;
+        Ok(name.to_owned())
+    }
+    fn tokens(&mut self, count: &'static str, each: &'static str) -> Result<Vec<usize>, WireError> {
+        let n = self.u32(count)? as usize;
+        // The payload length bounds the count: a hostile count can't
+        // trigger a huge reserve.
+        if n.checked_mul(4).is_none_or(|bytes| bytes > self.buf.len()) {
+            return Err(WireError::Malformed { detail: count });
+        }
+        (0..n).map(|_| self.u32(each).map(|t| t as usize)).collect()
+    }
+    /// The waits and activation counters; the wire carries the
+    /// per-request counters only, kernel attribution is server-side
+    /// diagnostics.
+    fn timing(&mut self) -> Result<(Duration, Duration, QuantizedStats), WireError> {
+        let queue_wait = Duration::from_micros(self.u64("queue wait")?);
+        let latency = Duration::from_micros(self.u64("latency")?);
+        let stats = QuantizedStats {
+            act_values: self.u64("act values")? as usize,
+            act_outliers: self.u64("act outliers")? as usize,
+            ..QuantizedStats::default()
+        };
+        Ok((queue_wait, latency, stats))
+    }
     fn finished(&self, what: &'static str) -> Result<(), WireError> {
         if self.pos == self.buf.len() {
             Ok(())
@@ -401,22 +449,15 @@ impl Frame {
             Frame::Request { corr, model, tokens } => {
                 let mut e = Enc::new(TAG_REQUEST);
                 e.u64(*corr);
-                e.u16(model.len() as u16);
-                e.bytes(model.as_bytes());
-                e.u32(tokens.len() as u32);
-                for &t in tokens {
-                    e.u32(t as u32);
-                }
+                e.name(model);
+                e.tokens(tokens);
                 e.buf
             }
             Frame::Response { corr, output, batch_size, queue_wait, latency, stats } => {
                 let mut e = Enc::new(TAG_RESPONSE);
                 e.u64(*corr);
                 e.u32(*batch_size);
-                e.u64(queue_wait.as_micros() as u64);
-                e.u64(latency.as_micros() as u64);
-                e.u64(stats.act_values as u64);
-                e.u64(stats.act_outliers as u64);
+                e.timing(*queue_wait, *latency, stats);
                 match output {
                     TaskOutput::Logits(v) => {
                         e.buf.push(1);
@@ -445,8 +486,7 @@ impl Frame {
             Frame::Generate { corr, model, prompt, max_tokens, eos } => {
                 let mut e = Enc::new(TAG_GENERATE);
                 e.u64(*corr);
-                e.u16(model.len() as u16);
-                e.bytes(model.as_bytes());
+                e.name(model);
                 e.u32(*max_tokens);
                 match eos {
                     Some(t) => {
@@ -455,10 +495,7 @@ impl Frame {
                     }
                     None => e.buf.push(0),
                 }
-                e.u32(prompt.len() as u32);
-                for &t in prompt {
-                    e.u32(t as u32);
-                }
+                e.tokens(prompt);
                 e.buf
             }
             Frame::Generated { corr, index, token, summary } => {
@@ -471,10 +508,7 @@ impl Frame {
                     Some(s) => {
                         e.buf.push(1);
                         e.u32(s.steps);
-                        e.u64(s.queue_wait.as_micros() as u64);
-                        e.u64(s.latency.as_micros() as u64);
-                        e.u64(s.stats.act_values as u64);
-                        e.u64(s.stats.act_outliers as u64);
+                        e.timing(s.queue_wait, s.latency, &s.stats);
                     }
                 }
                 e.buf
@@ -495,32 +529,14 @@ impl Frame {
         let frame = match d.u8("frame tag")? {
             TAG_REQUEST => {
                 let corr = d.u64("request corr id")?;
-                let name_len = d.u16("model name length")? as usize;
-                let name = d.take(name_len, "model name bytes")?;
-                let model = std::str::from_utf8(name)
-                    .map_err(|_| WireError::Malformed { detail: "model name utf-8" })?
-                    .to_owned();
-                let ntokens = d.u32("token count")? as usize;
-                if ntokens.checked_mul(4).is_none_or(|bytes| bytes > payload.len()) {
-                    return Err(WireError::Malformed { detail: "token count" });
-                }
-                let tokens = (0..ntokens)
-                    .map(|_| d.u32("token id").map(|t| t as usize))
-                    .collect::<Result<Vec<_>, _>>()?;
+                let model = d.name()?;
+                let tokens = d.tokens("token count", "token id")?;
                 Frame::Request { corr, model, tokens }
             }
             TAG_RESPONSE => {
                 let corr = d.u64("response corr id")?;
                 let batch_size = d.u32("batch size")?;
-                let queue_wait = Duration::from_micros(d.u64("queue wait")?);
-                let latency = Duration::from_micros(d.u64("latency")?);
-                // The wire carries the per-request activation counters
-                // only; kernel attribution is server-side diagnostics.
-                let stats = QuantizedStats {
-                    act_values: d.u64("act values")? as usize,
-                    act_outliers: d.u64("act outliers")? as usize,
-                    ..QuantizedStats::default()
-                };
+                let (queue_wait, latency, stats) = d.timing()?;
                 let output = match d.u8("output kind")? {
                     1 => TaskOutput::Logits(d.f32_vec("logits")?),
                     2 => TaskOutput::Score(d.f32_bits("score")?),
@@ -541,24 +557,14 @@ impl Frame {
             }
             TAG_GENERATE => {
                 let corr = d.u64("generate corr id")?;
-                let name_len = d.u16("model name length")? as usize;
-                let name = d.take(name_len, "model name bytes")?;
-                let model = std::str::from_utf8(name)
-                    .map_err(|_| WireError::Malformed { detail: "model name utf-8" })?
-                    .to_owned();
+                let model = d.name()?;
                 let max_tokens = d.u32("max tokens")?;
                 let eos = match d.u8("eos flag")? {
                     0 => None,
                     1 => Some(d.u32("eos token")?),
                     _ => return Err(WireError::Malformed { detail: "eos flag" }),
                 };
-                let nprompt = d.u32("prompt count")? as usize;
-                if nprompt.checked_mul(4).is_none_or(|bytes| bytes > payload.len()) {
-                    return Err(WireError::Malformed { detail: "prompt count" });
-                }
-                let prompt = (0..nprompt)
-                    .map(|_| d.u32("prompt token").map(|t| t as usize))
-                    .collect::<Result<Vec<_>, _>>()?;
+                let prompt = d.tokens("prompt count", "prompt token")?;
                 Frame::Generate { corr, model, prompt, max_tokens, eos }
             }
             TAG_GENERATED => {
@@ -567,16 +573,11 @@ impl Frame {
                 let token = d.u32("token id")?;
                 let summary = match d.u8("done flag")? {
                     0 => None,
-                    1 => Some(GenSummary {
-                        steps: d.u32("steps")?,
-                        queue_wait: Duration::from_micros(d.u64("gen queue wait")?),
-                        latency: Duration::from_micros(d.u64("gen latency")?),
-                        stats: QuantizedStats {
-                            act_values: d.u64("gen act values")? as usize,
-                            act_outliers: d.u64("gen act outliers")? as usize,
-                            ..QuantizedStats::default()
-                        },
-                    }),
+                    1 => {
+                        let steps = d.u32("steps")?;
+                        let (queue_wait, latency, stats) = d.timing()?;
+                        Some(GenSummary { steps, queue_wait, latency, stats })
+                    }
                     _ => return Err(WireError::Malformed { detail: "done flag" }),
                 };
                 Frame::Generated { corr, index, token, summary }
@@ -743,15 +744,7 @@ impl NetClient {
     /// `io::ErrorKind::UnexpectedEof` when the server hung up,
     /// `InvalidData` on an undecodable or non-reply frame.
     pub fn recv(&mut self) -> io::Result<(u64, ServerReply)> {
-        let frame = read_frame(&mut self.stream, self.max_frame_bytes)
-            .map_err(|e| match e {
-                ReadFrameError::Io(e) => e,
-                ReadFrameError::Wire(e) => io::Error::new(io::ErrorKind::InvalidData, e),
-            })?
-            .ok_or_else(|| {
-                io::Error::new(io::ErrorKind::UnexpectedEof, "server closed the connection")
-            })?;
-        match frame {
+        match self.read_reply("server closed the connection")? {
             Frame::Response { corr, output, batch_size, queue_wait, latency, stats } => {
                 Ok((corr, ServerReply::Response { output, batch_size, queue_wait, latency, stats }))
             }
@@ -832,15 +825,7 @@ impl NetClient {
         self.send_generate(corr, model, prompt, max_tokens, eos)?;
         let mut tokens = Vec::new();
         loop {
-            let frame = read_frame(&mut self.stream, self.max_frame_bytes)
-                .map_err(|e| match e {
-                    ReadFrameError::Io(e) => e,
-                    ReadFrameError::Wire(e) => io::Error::new(io::ErrorKind::InvalidData, e),
-                })?
-                .ok_or_else(|| {
-                    io::Error::new(io::ErrorKind::UnexpectedEof, "server closed mid-generation")
-                })?;
-            match frame {
+            match self.read_reply("server closed mid-generation")? {
                 Frame::Generated { corr: got, index, token, summary } if got == corr => {
                     if index as usize != tokens.len() {
                         return Err(io::Error::new(
@@ -866,6 +851,17 @@ impl NetClient {
                 }
             }
         }
+    }
+
+    /// Reads the next frame, lifting a decode failure to `InvalidData` and
+    /// a hangup to `UnexpectedEof` with `hangup` as its message.
+    fn read_reply(&mut self, hangup: &str) -> io::Result<Frame> {
+        read_frame(&mut self.stream, self.max_frame_bytes)
+            .map_err(|e| match e {
+                ReadFrameError::Io(e) => e,
+                ReadFrameError::Wire(e) => io::Error::new(io::ErrorKind::InvalidData, e),
+            })?
+            .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, hangup))
     }
 
     /// The underlying stream, for timeouts or shutdown.

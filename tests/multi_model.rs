@@ -7,7 +7,7 @@
 use mokey_pipeline::{Parallelism, QuantSession};
 use mokey_serve::{
     serve, serve_registry, ModelId, ModelRegistry, ModelServeConfig, RegistryError, ServeConfig,
-    ServeReport, SubmitError,
+    ServeHandle, ServeReport, SubmitError,
 };
 use mokey_transformer::model::{Head, Model};
 use mokey_transformer::{ModelConfig, QuantizeSpec};
@@ -333,4 +333,147 @@ fn per_model_batching_overrides_do_not_leak_across_models() {
         sizes.iter().any(|(id, s)| *id == big && *s > 1),
         "default-policy model failed to coalesce under a 1-worker backlog: {sizes:?}"
     );
+}
+
+/// The same report family taken live from a running engine: the
+/// aggregate, and each model's scope in registration order.
+fn live_report(handle: &ServeHandle<'_>, models: &[(&str, ModelId)]) -> ServeReport {
+    ServeReport {
+        aggregate: handle.metrics(),
+        per_model: models
+            .iter()
+            .map(|&(name, id)| (name.to_owned(), handle.model_metrics(id).unwrap()))
+            .collect(),
+    }
+}
+
+/// The non-blocking one-shot path: a full shared queue bounces with
+/// `QueueFull`, counted in `rejected_full` for the model and the
+/// aggregate alike.
+#[test]
+fn try_submit_to_a_full_queue_bounces_and_is_counted_per_model() {
+    let (registry, sentiment, _) = two_head_registry();
+    // One worker, singleton batches and two queue slots: rapid-fire
+    // submissions outrun the worker within a few attempts.
+    let config = ServeConfig {
+        workers: 1,
+        max_batch: 1,
+        max_wait: Duration::from_millis(1),
+        queue_capacity: 2,
+        ..ServeConfig::default()
+    };
+    let tokens = registry.get(sentiment).unwrap().model().random_tokens(16, 3);
+    let (bounced, report) = serve_registry(&registry, config, |handle| {
+        let mut tickets = Vec::new();
+        let mut bounced = 0u64;
+        for _ in 0..1_000 {
+            match handle.try_submit_to(sentiment, tokens.clone()) {
+                Ok(ticket) => tickets.push(ticket),
+                Err(SubmitError::QueueFull) => {
+                    bounced += 1;
+                    break;
+                }
+                Err(other) => panic!("unexpected rejection: {other}"),
+            }
+        }
+        assert!(bounced > 0, "1000 rapid submissions never filled a 2-slot queue");
+        for ticket in tickets {
+            ticket.wait();
+        }
+        bounced
+    });
+    assert_eq!(report.aggregate.rejected_full, bounced);
+    assert_eq!(report.model("sentiment").unwrap().rejected_full, bounced);
+    assert_eq!(report.model("topic").unwrap().rejected_full, 0);
+    assert_eq!(report.aggregate.completed, report.aggregate.submitted);
+    assert_per_model_sums_to_aggregate(&report);
+}
+
+/// The blocking generation path sheds at the model's admission quota
+/// just like one-shots do, and counts it in `rejected_quota`.
+#[test]
+fn generation_at_model_quota_is_shed_and_counted() {
+    let (mut registry, sentiment, topic) = two_head_registry();
+    registry.set_serve_config(
+        sentiment,
+        ModelServeConfig { queue_quota: Some(1), ..ModelServeConfig::default() },
+    );
+    let config = ServeConfig { workers: 1, ..serve_config() };
+    let prompt = registry.get(sentiment).unwrap().model().random_tokens(8, 4);
+    let busy = registry.get(topic).unwrap().model().random_tokens(16, 5);
+    let (shed, report) = serve_registry(&registry, config, |handle| {
+        // A topic backlog keeps the single worker busy, so an accepted
+        // generation stays queued and holds sentiment's one slot.
+        let tickets: Vec<_> =
+            (0..4).map(|_| handle.submit_to(topic, busy.clone()).unwrap()).collect();
+        let mut generations = Vec::new();
+        let mut shed = 0u64;
+        for _ in 0..200 {
+            match handle.submit_generate_to(sentiment, prompt.clone(), 4, None) {
+                Ok(ticket) => generations.push(ticket),
+                Err(SubmitError::ModelQuotaExceeded { model, quota }) => {
+                    assert_eq!((model, quota), (sentiment, 1));
+                    shed += 1;
+                    break;
+                }
+                Err(other) => panic!("unexpected rejection: {other}"),
+            }
+        }
+        assert!(shed > 0, "no generation was shed at a quota of 1");
+        for ticket in tickets {
+            ticket.wait();
+        }
+        for generation in generations {
+            assert_eq!(generation.wait().tokens.len(), 4);
+        }
+        shed
+    });
+    assert_eq!(report.aggregate.rejected_quota, shed);
+    assert_eq!(report.model("sentiment").unwrap().rejected_quota, shed);
+    assert_eq!(report.model("topic").unwrap().rejected_quota, 0);
+    assert_per_model_sums_to_aggregate(&report);
+}
+
+/// `metrics()`, `model_metrics()` and `queue_depth()` read from inside a
+/// running engine: after mixed traffic (served, invalid, shed and
+/// generated), the live per-model columns sum to the live aggregate.
+#[test]
+fn live_per_model_metrics_sum_to_the_live_aggregate() {
+    let (mut registry, sentiment, topic) = two_head_registry();
+    registry.set_serve_config(
+        topic,
+        ModelServeConfig { queue_quota: Some(1), ..ModelServeConfig::default() },
+    );
+    let models = [("sentiment", sentiment), ("topic", topic)];
+    let tokens = registry.get(sentiment).unwrap().model().random_tokens(12, 6);
+    let ((), report) =
+        serve_registry(&registry, ServeConfig { workers: 1, ..serve_config() }, |handle| {
+            let mut tickets = Vec::new();
+            for _ in 0..6 {
+                tickets.push(handle.submit_to(sentiment, tokens.clone()).unwrap());
+                // Quota 1 on topic: some of these may be shed.
+                if let Ok(ticket) = handle.submit_to(topic, tokens.clone()) {
+                    tickets.push(ticket);
+                }
+            }
+            assert!(handle.submit_to(topic, vec![]).is_err());
+            assert!(handle.submit_generate_to(sentiment, tokens.clone(), 0, None).is_err());
+            let generation = handle.submit_generate_to(sentiment, tokens.clone(), 3, None).unwrap();
+            // Mid-run: the live aggregate has seen every accepted submission.
+            let live = handle.metrics();
+            assert_eq!(live.submitted, tickets.len() as u64 + 1);
+            assert!(handle.queue_depth() <= live.submitted as usize);
+            // Once every claim is answered the engine is idle: counters are
+            // final and the queue is empty.
+            tickets.into_iter().for_each(|t| drop(t.wait()));
+            generation.wait();
+            assert_eq!(handle.queue_depth(), 0);
+            let live = live_report(handle, &models);
+            assert_per_model_sums_to_aggregate(&live);
+            assert_eq!(live.aggregate.completed, live.aggregate.submitted);
+            assert_eq!(live.aggregate.rejected_invalid, 2);
+            assert_eq!(live.model("topic").unwrap().rejected_invalid, 1);
+            assert_eq!(live.aggregate.generated_tokens, 3);
+        });
+    assert_per_model_sums_to_aggregate(&report);
 }

@@ -13,7 +13,7 @@ use mokey_transformer::{ModelConfig, QuantizeSpec, TaskOutput};
 use proptest::prelude::*;
 use std::io::Write;
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn model_config() -> ModelConfig {
     ModelConfig {
@@ -381,6 +381,41 @@ fn per_model_quota_applies_over_the_wire() {
     assert!(shed >= 1, "a 24-deep burst against quota 1 must shed");
     assert_eq!(report.aggregate.rejected_quota, shed);
     assert_eq!(report.aggregate.completed, served);
+}
+
+/// Regression: every accepted socket used to keep a clone in the
+/// shutdown list until the server stopped, so sequential clients leaked
+/// one descriptor each, and the first failed `accept` (out of
+/// descriptors) ended the acceptor for good.
+#[test]
+fn closed_connections_release_their_sockets_and_the_server_keeps_answering() {
+    let registry = registry();
+    let tokens = prepared(&registry).model().random_tokens(12, 5);
+    let call = |addr: &str, corr: u64| {
+        let mut client = NetClient::connect(addr).unwrap();
+        let reply = client.call(corr, "classify", &tokens).unwrap();
+        assert!(matches!(reply, ServerReply::Response { .. }), "call {corr}: {reply:?}");
+        client
+    };
+    let ((), report) = serve_net(&registry, serve_config(), NetConfig::default(), |net| {
+        let addr = net.addr().to_string();
+        for corr in 1..=50 {
+            drop(call(&addr, corr));
+        }
+        // Each connection ends on its own thread once its client hangs
+        // up; give the last ones a bounded time to finish.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while net.open_connections() > 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(net.open_connections(), 0, "closed connections still hold their sockets");
+        assert_eq!(net.accepted(), 50);
+        // The engine still answers, and a live connection is counted.
+        let _client = call(&addr, 51);
+        assert_eq!(net.open_connections(), 1);
+    })
+    .unwrap();
+    assert_eq!(report.aggregate.completed, 51);
 }
 
 /// Lowercase-ASCII strings of lengths in `range`, within the vendored
