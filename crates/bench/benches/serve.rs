@@ -3,8 +3,8 @@
 //! plus a two-model registry sweep (per-model requests/second and
 //! cross-model dictionary-cache hits), a **fairness** sweep (a flooding
 //! model with and without an admission quota vs the victim model's solo
-//! p99), a **decode** sweep (seeded generations through the per-step
-//! rebatching path, once per execution mode — decoded-GEMM vs
+//! p99), a **decode** sweep (seeded generations through the fused
+//! per-token decode slices, once per execution mode — decoded-GEMM vs
 //! index-domain LUT — with tokens/second and per-generated-token
 //! p50/p99 recorded per mode, plus
 //! a mixed decode + one-shot scenario pinning the one-shot p99 within
@@ -242,9 +242,9 @@ fn run_decode_load(
 /// its sequential closed loop of one-shots. Closed-loop generators keep
 /// steady decode pressure (always `gen_threads` generations in flight)
 /// without the t=0 prefill herd a fully pipelined burst would park in
-/// front of the victim's first request. Per-step rebatching is what
+/// front of the victim's first request. Per-token re-entry is what
 /// keeps the victim's p99 bounded: a one-shot never waits behind more
-/// than the in-flight token slices.
+/// than the in-flight token slices, each one fused step.
 fn run_mixed_decode_load(
     registry: &ModelRegistry,
     gen_threads: usize,
@@ -610,8 +610,8 @@ fn bench(c: &mut Criterion) {
         solo_p99.as_secs_f64() * 1e3,
     );
 
-    // The decode sweep: seeded generations through the per-step
-    // rebatching path, run once per execution mode — the decoded-GEMM
+    // The decode sweep: seeded generations through the fused per-token
+    // decode slices, run once per execution mode — the decoded-GEMM
     // default and the index-domain LUT path (decode steps hit the
     // quantized KV cache either way; outputs are pinned bit-identical by
     // the integration tests). Each generation prefills once, then
@@ -683,7 +683,7 @@ fn bench(c: &mut Criterion) {
     );
     assert!(
         mixed_p99.as_secs_f64() <= solo_p99.as_secs_f64() * 4.0 + 0.010,
-        "per-step rebatching failed to protect one-shots: p99 {:.3} ms mixed vs {:.3} ms solo",
+        "per-token decode slices failed to protect one-shots: p99 {:.3} ms mixed vs {:.3} ms solo",
         mixed_p99.as_secs_f64() * 1e3,
         solo_p99.as_secs_f64() * 1e3,
     );

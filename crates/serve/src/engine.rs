@@ -36,10 +36,16 @@
 //! token and then *re-enqueues* it, so in-flight generations interleave
 //! with one-shot traffic and with each other at token granularity.
 //! Decode slices batch generations for the same model together but never
-//! mix with one-shot batches. If a finished step cannot re-enter the
-//! queue (capacity, quota, or shutdown), the worker finishes that
-//! generation inline — an accepted generation, like any accepted
-//! request, is never dropped.
+//! mix with one-shot batches, and a decode slice is **one fused step**:
+//! it prefills the generations that are new, then advances all of them
+//! with a single [`DecodeSession::step_batch`] pass, so the projection
+//! and FFN GEMMs run once at one row per generation. A generation slice
+//! never waits for stragglers — it takes the generations already queued
+//! and runs — so [`ServeConfig::max_wait`] is never added to a token's
+//! latency (iteration-level scheduling). If a finished step cannot
+//! re-enter the queue (capacity, quota, or shutdown), the worker
+//! finishes that generation inline — an accepted generation, like any
+//! accepted request, is never dropped.
 
 use crate::metrics::{Metrics, MetricsReport, ServeReport};
 use crate::prepared::PreparedModel;
@@ -60,7 +66,9 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Largest batch the dynamic batcher coalesces.
     pub max_batch: usize,
-    /// How long an underfull batch waits for stragglers.
+    /// How long an underfull one-shot batch waits for stragglers.
+    /// Applies to one-shot batches only: a decode slice runs the
+    /// generations already queued at once.
     pub max_wait: Duration,
     /// Submission-queue capacity, shared across all models (admission
     /// control / backpressure threshold).
@@ -643,9 +651,17 @@ fn worker_loop(shared: &Shared<'_>) {
             WorkItem::Generate(_) => (true, 0),
         }
     };
-    while let Some((model, batch)) =
-        shared.queue.pop_batch_by(max_batch, shared.config.max_wait, key)
-    {
+    // A generation slice takes whatever is already queued and never waits
+    // for stragglers: every in-flight generation re-enters the queue after
+    // each token, so waiting would only add the wait to every token.
+    let max_wait = |&(generation, _): &(bool, usize)| {
+        if generation {
+            Duration::ZERO
+        } else {
+            shared.config.max_wait
+        }
+    };
+    while let Some((model, batch)) = shared.queue.pop_batch_by(max_batch, max_wait, key) {
         let slot = &shared.slots[model.index()];
         let formed_at = Instant::now();
         let mut requests = Vec::new();
@@ -688,34 +704,34 @@ fn serve_oneshot_batch(
     }
 }
 
-/// One decode slice: advance every popped generation a single token,
-/// then re-enqueue the unfinished ones so they interleave with other
-/// traffic instead of camping on this worker.
+/// One decode slice: prefill the popped generations that are new, then
+/// advance every one of them a single token with one fused
+/// [`DecodeSession::step_batch`] pass, and re-enqueue the unfinished ones
+/// so they interleave with other traffic instead of camping on this
+/// worker.
 fn serve_decode_slice(
     shared: &Shared<'_>,
     model: ModelId,
     slot: &ModelSlot<'_>,
     formed_at: Instant,
-    jobs: Vec<GenJob>,
+    mut jobs: Vec<GenJob>,
 ) {
     shared.record(slot, Metrics::note_decode_step);
-    for mut job in jobs {
+    let (m, ctx) = (slot.model.model(), slot.model.context());
+    for job in &mut jobs {
         job.steps += 1;
         if job.queue_wait.is_none() {
             job.queue_wait = Some(formed_at.duration_since(job.accepted_at));
         }
         if let GenState::Pending { prompt, max_tokens, eos } = &job.state {
-            let session = DecodeSession::prefill(
-                slot.model.model(),
-                slot.model.context(),
-                prompt,
-                *max_tokens,
-                *eos,
-                slot.mode,
-            );
+            let session = DecodeSession::prefill(m, ctx, prompt, *max_tokens, *eos, slot.mode);
             job.state = GenState::Running(session);
         }
-        if advance_generation(shared, slot, &mut job) {
+    }
+    let mut sessions: Vec<&mut DecodeSession> = jobs.iter_mut().map(GenJob::session).collect();
+    let tokens = DecodeSession::step_batch(&mut sessions, m, ctx);
+    for (mut job, token) in jobs.into_iter().zip(tokens) {
+        if stream_token(shared, slot, &mut job, token) {
             finish_generation(shared, model, slot, job);
             continue;
         }
@@ -730,28 +746,40 @@ fn serve_decode_slice(
             ) => {
                 let WorkItem::Generate(boxed) = item else { unreachable!() };
                 let mut job = *boxed;
-                while !advance_generation(shared, slot, &mut job) {}
+                loop {
+                    let token = job.session().step(m, ctx);
+                    if stream_token(shared, slot, &mut job, token) {
+                        break;
+                    }
+                }
                 finish_generation(shared, model, slot, job);
             }
         }
     }
 }
 
-/// Samples one token, streams it, and records per-token metrics.
-/// Returns whether the generation just finished.
-fn advance_generation(shared: &Shared<'_>, slot: &ModelSlot<'_>, job: &mut GenJob) -> bool {
-    let GenState::Running(session) = &mut job.state else {
-        unreachable!("generation advanced before prefill")
-    };
-    let token = session.step(slot.model.model(), slot.model.context());
+impl GenJob {
+    fn session(&mut self) -> &mut DecodeSession {
+        let GenState::Running(session) = &mut self.state else {
+            unreachable!("generation stepped before prefill")
+        };
+        session
+    }
+}
+
+/// Streams one sampled token and records per-token metrics. Returns
+/// whether the generation just finished.
+fn stream_token(shared: &Shared<'_>, slot: &ModelSlot<'_>, job: &mut GenJob, token: usize) -> bool {
+    let session = job.session();
     let index = session.generated().len() - 1;
+    let done = session.is_done();
     let now = Instant::now();
     let inter_token = now.duration_since(job.last_token_at);
     job.last_token_at = now;
     shared.record(slot, |m| m.note_generated(inter_token));
     // A client that dropped its ticket just doesn't read the stream.
     let _ = job.tx.send(GenUpdate::Token { index, token });
-    session.is_done()
+    done
 }
 
 fn finish_generation(shared: &Shared<'_>, model: ModelId, slot: &ModelSlot<'_>, job: GenJob) {
@@ -1355,6 +1383,82 @@ mod tests {
         assert!(report.decode_steps >= 1);
         assert_eq!(report.completed, 1, "a finished generation counts as one completion");
         assert!(report.tokens_per_sec > 0.0);
+    }
+
+    #[test]
+    fn a_lone_generation_never_waits_for_stragglers() {
+        let p = prepared();
+        let prompt = p.model().random_tokens(5, 31);
+        let reference = mokey_transformer::generate(
+            p.model(),
+            p.context(),
+            &prompt,
+            6,
+            None,
+            ExecMode::default(),
+        );
+        // A one-shot batch would wait 5 s for company; a generation slice
+        // must not, or every token would cost the wait.
+        let config =
+            ServeConfig { workers: 1, max_wait: Duration::from_secs(5), ..ServeConfig::default() };
+        let start = Instant::now();
+        let (response, report) = serve(&p, config, |handle| {
+            handle.submit_generate(prompt.clone(), 6, None).unwrap().wait()
+        });
+        assert!(start.elapsed() < Duration::from_secs(5), "took {:?}", start.elapsed());
+        assert_eq!(response.tokens, reference.tokens);
+        assert_eq!(response.stats, reference.stats);
+        assert_eq!(report.generated_tokens, 6);
+    }
+
+    #[test]
+    fn concurrent_generations_fuse_and_match_solo_decode() {
+        let p = prepared();
+        // Prompts of 3..=8 tokens with budgets of 3..=8 new tokens.
+        let jobs: Vec<(Vec<usize>, usize)> =
+            (0..6).map(|i| (p.model().random_tokens(3 + i, 40 + i as u64), 3 + i)).collect();
+        for mode in [ExecMode::Decoded, ExecMode::IndexDomain] {
+            let config = ServeConfig {
+                workers: 1,
+                max_wait: Duration::from_millis(500),
+                mode,
+                ..ServeConfig::default()
+            };
+            let (responses, report) = serve(&p, config, |handle| {
+                // The lone worker sits in this one-shot's straggler wait
+                // while every generation queues, so the first decode slice
+                // prefills and steps all six together.
+                let gate = handle.submit(p.model().random_tokens(4, 50)).unwrap();
+                let tickets: Vec<GenTicket> = jobs
+                    .iter()
+                    .map(|(prompt, budget)| {
+                        handle.submit_generate(prompt.clone(), *budget, None).unwrap()
+                    })
+                    .collect();
+                gate.wait();
+                tickets.into_iter().map(GenTicket::wait).collect::<Vec<_>>()
+            });
+            for ((prompt, budget), response) in jobs.iter().zip(&responses) {
+                let solo = mokey_transformer::generate(
+                    p.model(),
+                    p.context(),
+                    prompt,
+                    *budget,
+                    None,
+                    mode,
+                );
+                assert_eq!(response.tokens, solo.tokens, "mode {mode:?}");
+                assert_eq!(response.stats, solo.stats, "mode {mode:?}");
+            }
+            let total: usize = jobs.iter().map(|(_, budget)| budget).sum();
+            assert_eq!(report.generated_tokens, total as u64);
+            assert!(
+                report.generated_tokens > report.decode_steps,
+                "no slice fused: {} tokens in {} slices",
+                report.generated_tokens,
+                report.decode_steps
+            );
+        }
     }
 
     #[test]

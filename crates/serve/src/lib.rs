@@ -20,7 +20,7 @@
 //!   [`SubmitError::QueueFull`];
 //! * **dynamic batching** — workers coalesce up to
 //!   [`ServeConfig::max_batch`] requests, waiting at most
-//!   [`ServeConfig::max_wait`] for stragglers, and run the whole batch
+//!   [`ServeConfig::max_wait`] for one-shot stragglers, and run the whole batch
 //!   through one `QuantizedExecutor` (activations re-encoded on the fly
 //!   via the cached dictionaries); batched outputs are **bit-identical**
 //!   to solo execution, so batching is purely a throughput decision;
@@ -30,7 +30,8 @@
 //!   each later token is decoded incrementally, and between tokens the
 //!   generation *re-enters the queue*, so decode interleaves with
 //!   one-shot traffic at token granularity while a [`GenTicket`] streams
-//!   the tokens back;
+//!   the tokens back; each decode slice advances every generation it
+//!   popped with one fused step, without waiting for stragglers;
 //! * **structural shutdown** — workers live in a `std::thread::scope`;
 //!   when the driver closure returns, the queue closes and the accepted
 //!   backlog is drained before [`serve`] returns. No accepted request is

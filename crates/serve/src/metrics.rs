@@ -215,7 +215,7 @@ impl Metrics {
     }
 
     /// Accounts one decode slice: a worker pass that advanced a batch of
-    /// in-flight generations one token each. Decode slices are *not*
+    /// in-flight generations one token each with one fused step. Decode slices are *not*
     /// [`Metrics::note_batch`] batches — a generation flows through many
     /// slices but completes once, so counting slices as batches would
     /// corrupt `mean_batch_size`.
@@ -336,8 +336,10 @@ pub struct MetricsReport {
     /// Tokens greedily sampled by in-flight generations.
     pub generated_tokens: u64,
     /// Decode slices: worker passes that advanced a batch of generations
-    /// one token each (a generation spans many slices; `generated_tokens
-    /// / decode_steps` is the mean decode batch width).
+    /// one token each with one fused step (a generation spans many
+    /// slices; `generated_tokens / decode_steps` is the mean fused width,
+    /// counting the rare tail a worker finishes inline when a generation
+    /// cannot re-enter the queue).
     pub decode_steps: u64,
     /// Generated tokens per second of engine lifetime.
     pub tokens_per_sec: f64,

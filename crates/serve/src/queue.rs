@@ -4,7 +4,8 @@
 //! [`TaggedQueue`] is one `Mutex<VecDeque>` plus two condvars; producers
 //! block (or bounce, via [`TaggedQueue::try_push`]) when the queue is at
 //! capacity, and worker threads pull *batches*: the first item is waited
-//! for indefinitely, then up to `max_wait` is spent coalescing more items
+//! for indefinitely, then up to `max_wait` (which may depend on the
+//! leader's group, see [`GroupWait`]) is spent coalescing more items
 //! until `max_batch` is reached. Closing the queue wakes everyone;
 //! already-accepted items are still handed out so a shutdown drains
 //! instead of dropping work.
@@ -97,6 +98,27 @@ impl<Tag: Copy + Eq + Hash, T> TaggedState<Tag, T> {
             Some(&quota) => self.occupancy.get(&tag).copied().unwrap_or(0) >= quota,
             None => false,
         }
+    }
+}
+
+/// How long a batch waits for stragglers, as a function of its leader's
+/// group key: one [`Duration`] for every group, or any
+/// `Fn(&K) -> Duration` (the serving engine gives generation groups no
+/// wait and one-shot groups its `max_wait`).
+pub trait GroupWait<K> {
+    /// The straggler wait for a batch whose leader has group key `key`.
+    fn wait_for(&self, key: &K) -> Duration;
+}
+
+impl<K> GroupWait<K> for Duration {
+    fn wait_for(&self, _key: &K) -> Duration {
+        *self
+    }
+}
+
+impl<K, F: Fn(&K) -> Duration> GroupWait<K> for F {
+    fn wait_for(&self, key: &K) -> Duration {
+        self(key)
     }
 }
 
@@ -232,15 +254,16 @@ impl<Tag: Copy + Eq + Hash, T> TaggedQueue<Tag, T> {
     /// both the batch cap (`max_batch(tag)`, floored at 1) and the
     /// secondary grouping key (`key(tag, item)` — the serving engine uses
     /// each model's own length bucket). The backlog, plus up to
-    /// `max_wait` of stragglers, is coalesced from items matching the
-    /// leader's `(tag, key)` pair; everything else keeps its FIFO
-    /// position for other consumers.
+    /// `max_wait.wait_for(&key)` of stragglers, is coalesced from items
+    /// matching the leader's `(tag, key)` pair; everything else keeps its
+    /// FIFO position for other consumers. A zero wait returns the backlog
+    /// at once.
     ///
     /// Returns `None` only when the queue is closed **and** drained.
     pub fn pop_batch_by<K: Eq>(
         &self,
         max_batch: impl Fn(Tag) -> usize,
-        max_wait: Duration,
+        max_wait: impl GroupWait<K>,
         key: impl Fn(Tag, &T) -> K,
     ) -> Option<(Tag, Vec<T>)> {
         let mut state = self.state.lock().expect("queue lock");
@@ -254,6 +277,7 @@ impl<Tag: Copy + Eq + Hash, T> TaggedQueue<Tag, T> {
         state.release(tag);
         let max_batch = max_batch(tag).max(1);
         let group = key(tag, &leader);
+        let max_wait = max_wait.wait_for(&group);
         let in_group = |(t, item): &(Tag, T)| *t == tag && key(tag, item) == group;
         let mut batch = Vec::with_capacity(max_batch);
         batch.push(leader);
@@ -410,6 +434,36 @@ mod tests {
         assert_eq!(batch, vec![10, 12]);
         producer.join().unwrap();
         assert_eq!(pop(&q, 8, Duration::ZERO).unwrap(), vec![25]);
+    }
+
+    #[test]
+    fn per_group_wait_returns_a_zero_wait_group_at_once() {
+        use std::sync::Arc;
+        // Key = tens digit: group 1 waits up to 10 s for stragglers,
+        // group 2 not at all.
+        let wait = |group: &u32| if *group == 1 { Duration::from_secs(10) } else { Duration::ZERO };
+        let q = Arc::new(TaggedQueue::new(16));
+        for item in [20u32, 11, 21] {
+            q.try_push(0u8, item).unwrap();
+        }
+        // An underfull group-2 batch takes the queued group-2 items and
+        // returns without waiting out group 1's window.
+        let start = Instant::now();
+        let (_, batch) = q.pop_batch_by(|_| 8, wait, |_, i| i / 10).unwrap();
+        assert_eq!(batch, vec![20, 21]);
+        assert!(start.elapsed() < Duration::from_secs(5), "zero-wait group waited");
+        // A group-1 batch still admits a straggler pushed during its wait.
+        let producer = {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(20));
+                q.try_push(0, 12).unwrap();
+            })
+        };
+        let (_, batch) = q.pop_batch_by(|_| 2, wait, |_, i| i / 10).unwrap();
+        assert_eq!(batch, vec![11, 12]);
+        producer.join().unwrap();
+        assert!(q.is_empty());
     }
 
     #[test]

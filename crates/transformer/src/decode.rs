@@ -6,13 +6,17 @@
 //! [`Model::forward`] (bidirectional over the prompt, exactly the
 //! encoder semantics every other path uses), harvesting each layer's
 //! K/V activation codes into a [`KvCache`]; every subsequent token is
-//! then computed *incrementally* by the model's one encoder-layer step,
-//! run as a one-row query ([`PackedBatch::decode_step`]) whose keys and
-//! values are the cached K/V rows plus its own — with the very same
-//! executor hooks (`dictionary encode → decode`, weight substitution,
-//! Eq. 7/8 output snapping, and the pair-LUT GEMM path under
-//! [`ExecMode::IndexDomain`]) and fused attention kernels the full
-//! forward pass uses.
+//! then computed *incrementally* by the model's one encoder-layer step.
+//! A step is one query row per session ([`PackedBatch::decode_step`])
+//! whose keys and values are that session's cached K/V rows plus its
+//! own — with the very same executor hooks (`dictionary encode →
+//! decode`, weight substitution, Eq. 7/8 output snapping, and the
+//! pair-LUT GEMM path under [`ExecMode::IndexDomain`]) and fused
+//! attention kernels the full forward pass uses.
+//! [`DecodeSession::step_batch`] advances many sessions with one such
+//! pass, so the projection and FFN GEMMs run once at `N` rows (and the
+//! index-domain counter-array quad path engages from four sessions on);
+//! [`DecodeSession::step`] is the same pass over one session.
 //!
 //! Attention semantics are prefix-LM style and self-consistent with the
 //! cache: prompt positions attend only to the prompt (their K/V are
@@ -26,7 +30,7 @@
 //! K/V as plain floats instead of cached codes.
 
 use crate::exec::{ExecMode, Executor, QuantizedContext, QuantizedExecutor, QuantizedStats};
-use crate::kv::KvCache;
+use crate::kv::{Kv, KvCache};
 use crate::model::{KvSource, Model};
 use crate::packed::PackedBatch;
 use mokey_core::lut::DecodeLut;
@@ -90,14 +94,19 @@ impl DecodeSession {
             ctx.act_dicts.contains_key("L0.attn.k"),
             "decode requires activation quantization (K/V dictionaries)"
         );
-        let layers = model.config().layers;
+        let tensors = kv_tensors(ctx, model.config().layers);
         let mut exec = QuantizedExecutor::with_mode(ctx, mode);
-        exec.capture(kv_capture_names(layers));
+        exec.capture(tensors.iter().flat_map(|t| t.names.clone()));
         let hidden = model.forward(&mut exec, prompt);
-        let mut cache = KvCache::new(layers, model.config().hidden);
-        for li in 0..layers {
-            let k = exec.take_captured(&format!("L{li}.attn.k")).expect("captured K codes");
-            let v = exec.take_captured(&format!("L{li}.attn.v")).expect("captured V codes");
+        // The prompt plus every generated token but the last is cached.
+        let positions =
+            prompt.len().saturating_add(max_tokens.saturating_sub(1)).min(model.config().max_seq);
+        let mut cache = KvCache::with_capacity(tensors.len(), model.config().hidden, positions);
+        for (li, t) in tensors.iter().enumerate() {
+            let [k, v] = t
+                .names
+                .each_ref()
+                .map(|name| exec.take_captured(name).expect("captured K/V codes"));
             cache.append(li, &k, &v);
         }
         Self {
@@ -116,33 +125,52 @@ impl DecodeSession {
 
     /// Samples the next greedy token and, unless that finishes the
     /// generation, advances the cache one position with it. Returns the
-    /// sampled token.
+    /// sampled token. This is [`DecodeSession::step_batch`] over one
+    /// session.
     ///
     /// # Panics
     ///
     /// Panics if the session is already [`DecodeSession::is_done`].
     pub fn step(&mut self, model: &Model, ctx: &QuantizedContext) -> usize {
+        Self::step_batch(&mut [self], model, ctx)[0]
+    }
+
+    /// Steps every session at once: samples each one's next greedy token,
+    /// then advances every session that is not finished by it with **one**
+    /// fused layer-stack pass — one query row per session over its own
+    /// cached history ([`PackedBatch::decode_step`]), so each projection
+    /// and FFN GEMM runs once at `N` rows. Returns the sampled tokens in
+    /// session order. Tokens, hidden rows, caches and counters are
+    /// bit-identical to stepping each session alone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any session is already [`DecodeSession::is_done`], or
+    /// if the sessions were prefilled in different [`ExecMode`]s.
+    pub fn step_batch(
+        sessions: &mut [&mut DecodeSession],
+        model: &Model,
+        ctx: &QuantizedContext,
+    ) -> Vec<usize> {
+        let tokens = sessions.iter_mut().map(|s| s.sample(model)).collect();
+        let mut live: Vec<&mut DecodeSession> =
+            sessions.iter_mut().filter(|s| !s.done).map(|s| &mut **s).collect();
+        if !live.is_empty() {
+            advance(&mut live, model, ctx);
+        }
+        tokens
+    }
+
+    /// Samples the next greedy token and decides whether it finishes the
+    /// generation.
+    fn sample(&mut self, model: &Model) -> usize {
         assert!(!self.done, "decode session already finished");
         let t = greedy_token(model, self.last_hidden.row(0));
         self.generated.push(t);
         self.done = self.generated.len() >= self.max_tokens
             || Some(t) == self.eos
             || self.tokens.len() >= model.config().max_seq;
-        if !self.done {
-            self.advance(model, ctx, t);
-        }
         t
-    }
-
-    /// One incremental layer-stack pass for `token` at the next cache
-    /// position.
-    fn advance(&mut self, model: &Model, ctx: &QuantizedContext, token: usize) {
-        let mut exec = QuantizedExecutor::with_mode(ctx, self.mode);
-        exec.capture(kv_capture_names(model.config().layers));
-        let mut kv = CodeBacked { ctx, cache: &mut self.cache };
-        self.last_hidden = step_pass(model, &mut exec, &mut kv, token, self.tokens.len());
-        self.tokens.push(token);
-        self.stats.merge(&exec.stats());
     }
 
     /// Whether generation has stopped (max tokens, EOS, or a full
@@ -226,7 +254,8 @@ pub fn generate_reference(
         for (i, &t) in generated.iter().enumerate() {
             let mut step_exec = QuantizedExecutor::with_mode(ctx, mode);
             let mut kv = FloatBacked { k: &mut kf, v: &mut vf };
-            last = step_pass(model, &mut step_exec, &mut kv, t, prompt.len() + i);
+            let pack = PackedBatch::decode_step(&[prompt.len() + i]);
+            last = step_pass(model, &mut step_exec, &mut kv, &pack, &[t]);
             iter_stats.merge(&step_exec.stats());
         }
         if generated.len() >= max_tokens {
@@ -261,53 +290,106 @@ fn greedy_token(model: &Model, hidden: &[f32]) -> usize {
     best
 }
 
-fn kv_capture_names(layers: usize) -> impl Iterator<Item = String> {
-    (0..layers).flat_map(|li| [format!("L{li}.attn.k"), format!("L{li}.attn.v")])
+/// One fused incremental pass: each session in `live` runs its last
+/// sampled token at its next cache position, as one query row of a
+/// shared decode-step pack. Capture names and decode tables are resolved
+/// once for the pack, and each session's counters come from the
+/// executor's per-request attribution.
+fn advance(live: &mut [&mut DecodeSession], model: &Model, ctx: &QuantizedContext) {
+    let mode = live[0].mode;
+    assert!(live.iter().all(|s| s.mode == mode), "fused sessions must share an execution mode");
+    let positions: Vec<usize> = live.iter().map(|s| s.tokens.len()).collect();
+    let tokens: Vec<usize> =
+        live.iter().map(|s| *s.generated.last().expect("a sampled token")).collect();
+    let pack = PackedBatch::decode_step(&positions);
+    let tensors = kv_tensors(ctx, model.config().layers);
+    let mut exec = QuantizedExecutor::with_mode(ctx, mode);
+    exec.capture(tensors.iter().flat_map(|t| t.names.clone()));
+    let hidden = {
+        let caches = live.iter_mut().map(|s| &mut s.cache).collect();
+        let mut kv = CodeBacked { tensors: &tensors, caches, pack: &pack };
+        step_pass(model, &mut exec, &mut kv, &pack, &tokens)
+    };
+    let mut per_request = exec.take_per_request();
+    per_request.resize(live.len(), QuantizedStats::default());
+    for (i, (session, stats)) in live.iter_mut().zip(&per_request).enumerate() {
+        session.last_hidden = hidden.slice_rows(pack.row_of(i), 1);
+        session.tokens.push(tokens[i]);
+        session.stats.merge(stats);
+    }
 }
 
-/// One decode step's layer-stack pass: `token` at position `pos` runs
-/// through [`Model`]'s one encoder layer body as a single query row
-/// attending over `pos` positions of K/V history (from `kv`) plus itself.
+/// One layer's K and V activation tensors: the names their codes are
+/// captured under and the tables that rematerialize them.
+struct KvTensors {
+    names: [String; 2],
+    luts: [DecodeLut; 2],
+}
+
+fn kv_tensors(ctx: &QuantizedContext, layers: usize) -> Vec<KvTensors> {
+    (0..layers)
+        .map(|li| {
+            let names = ["k", "v"].map(|which| format!("L{li}.attn.{which}"));
+            let luts = names
+                .each_ref()
+                .map(|name| ctx.act_decode.get(name).copied().expect("K/V activation dictionary"));
+            KvTensors { names, luts }
+        })
+        .collect()
+}
+
+/// One decode step's layer-stack pass: request `i` of `pack` (a
+/// [`PackedBatch::decode_step`]) runs `tokens[i]` through [`Model`]'s one
+/// encoder layer body as a single query row attending over its
+/// [`PackedBatch::past_of`] positions of K/V history (from `kv`) plus
+/// itself.
 fn step_pass<E: Executor + ?Sized>(
     model: &Model,
     exec: &mut E,
     kv: &mut dyn KvSource<E>,
-    token: usize,
-    pos: usize,
+    pack: &PackedBatch,
+    tokens: &[usize],
 ) -> Matrix {
-    let pack = PackedBatch::decode_step(&[pos]);
-    let batch = [std::slice::from_ref(&token)];
-    let x = model.embed(&pack, &batch);
-    model.encoder_stack(exec, &pack, x, kv)
+    let batch: Vec<&[usize]> = tokens.iter().map(std::slice::from_ref).collect();
+    let x = model.embed(pack, &batch);
+    model.encoder_stack(exec, pack, x, kv)
 }
 
-/// Production K/V history: the step's K/V codes, harvested by the
-/// encoding hook, are appended to the code cache, and the whole history
-/// is rematerialized through the tensors' decode tables.
+/// Production K/V history for a fused step over `N` sessions: row `i` of
+/// the step's captured K (or V) codes joins session `i`'s code cache, and
+/// each session's whole history is rematerialized through the tensor's
+/// decode table into its `past_i + 1` rows of the packed K (or V)
+/// matrix, starting at the pack's [`PackedBatch::kv_row_of`]`(i)`.
 struct CodeBacked<'c> {
-    ctx: &'c QuantizedContext,
-    cache: &'c mut KvCache,
+    tensors: &'c [KvTensors],
+    caches: Vec<&'c mut KvCache>,
+    pack: &'c PackedBatch,
 }
 
 impl KvSource<QuantizedExecutor<'_>> for CodeBacked<'_> {
-    fn keys_values(
+    fn history(
         &mut self,
         li: usize,
+        which: Kv,
         exec: &mut QuantizedExecutor<'_>,
-        _k: Matrix,
-        _v: Matrix,
-    ) -> (Matrix, Matrix) {
-        let kc = exec.take_captured(&format!("L{li}.attn.k")).expect("captured K codes");
-        let vc = exec.take_captured(&format!("L{li}.attn.v")).expect("captured V codes");
-        self.cache.append(li, &kc, &vc);
-        let klut = decode_lut(self.ctx, li, 'k');
-        let vlut = decode_lut(self.ctx, li, 'v');
-        (self.cache.decode_k(li, &klut), self.cache.decode_v(li, &vlut))
+        _fresh: Matrix,
+    ) -> Matrix {
+        let tensor = &self.tensors[li];
+        let codes = exec.take_captured(&tensor.names[which as usize]).expect("captured K/V codes");
+        let hidden = codes.cols;
+        let mut m = Matrix::zeros(self.pack.kv_rows(), hidden);
+        for (i, cache) in self.caches.iter_mut().enumerate() {
+            cache.append_codes(li, which, &codes.bits[i * hidden..(i + 1) * hidden]);
+            let block = self.pack.kv_row_of(i) * hidden..self.pack.kv_row_of(i + 1) * hidden;
+            cache.decode_into(
+                li,
+                which,
+                &tensor.luts[which as usize],
+                &mut m.as_mut_slice()[block],
+            );
+        }
+        m
     }
-}
-
-fn decode_lut(ctx: &QuantizedContext, li: usize, which: char) -> DecodeLut {
-    ctx.act_decode.get(&format!("L{li}.attn.{which}")).copied().expect("K/V activation dictionary")
 }
 
 /// The reference oracle's K/V history: plain float matrices, extended by
@@ -319,10 +401,13 @@ struct FloatBacked<'c> {
 }
 
 impl<E: ?Sized> KvSource<E> for FloatBacked<'_> {
-    fn keys_values(&mut self, li: usize, _exec: &mut E, k: Matrix, v: Matrix) -> (Matrix, Matrix) {
-        self.k[li] = push_row(&self.k[li], &k);
-        self.v[li] = push_row(&self.v[li], &v);
-        (self.k[li].clone(), self.v[li].clone())
+    fn history(&mut self, li: usize, which: Kv, _exec: &mut E, fresh: Matrix) -> Matrix {
+        let history = match which {
+            Kv::K => &mut self.k[li],
+            Kv::V => &mut self.v[li],
+        };
+        *history = push_row(history, &fresh);
+        history.clone()
     }
 }
 
@@ -410,7 +495,9 @@ mod tests {
         let history = || vec![Matrix::zeros(5, hidden); layers];
         let (mut k, mut v) = (history(), history());
         let mut log = HookLog::default();
-        let row = step_pass(&model, &mut log, &mut FloatBacked { k: &mut k, v: &mut v }, 7, 5);
+        let pack = PackedBatch::decode_step(&[5]);
+        let row =
+            step_pass(&model, &mut log, &mut FloatBacked { k: &mut k, v: &mut v }, &pack, &[7]);
         assert_eq!(row.shape(), (1, hidden));
         let expected: Vec<_> = (0..layers).flat_map(|li| layer_hooks(config, li, 1, 6)).collect();
         assert_eq!(log.0, expected);

@@ -361,9 +361,9 @@ impl QuantizedContext {
                 packing.solo_requests += 1;
             }
             let (outs, exec_stats) = self.infer_packed_planned(model, &pack, &refs, mode);
-            // The executor's own counters carry the kernel attribution the
-            // per-request entries don't (their activation counters sum to
-            // the same values).
+            // The executor's own counters count each shared GEMM once;
+            // the per-request entries count it once per request (their
+            // activation counters sum to the same values).
             total.merge(&exec_stats);
             for (&i, pair) in group.iter().zip(outs) {
                 results[i] = Some(pair);
@@ -395,7 +395,7 @@ impl QuantizedContext {
     /// [`QuantizedContext::infer_packed`] with an already-built pack plan
     /// (so `infer_batch` executes exactly the plan it accounted). Also
     /// returns the executor's merged counters, which — unlike the
-    /// per-request entries — carry the kernel attribution.
+    /// per-request entries — count each shared GEMM once.
     fn infer_packed_planned(
         &self,
         model: &Model,
@@ -428,9 +428,10 @@ pub struct QuantizedStats {
     pub act_values: usize,
     /// Of those, how many hit the outlier dictionary (Table I's "A OT %").
     pub act_outliers: usize,
-    /// Index-domain GEMMs under [`QUAD_ROWS`] rows (decode steps, heads):
-    /// [`matmul_lut_bias`] serves them on its row path alone, one
-    /// pair-LUT gather per MAC.
+    /// Index-domain GEMMs under [`QUAD_ROWS`] rows (lone decode steps,
+    /// heads): [`matmul_lut_bias`] serves them on its row path alone, one
+    /// pair-LUT gather per MAC. A request's own counters count every
+    /// GEMM its rows went through, shared or not.
     pub pair_lut_gemms: usize,
     /// Index-domain GEMMs of at least [`QUAD_ROWS`] rows, which
     /// [`matmul_lut_bias`] serves on its counter-array quad path.
@@ -682,16 +683,17 @@ impl Executor for QuantizedExecutor<'_> {
     /// operands — [`matmul_lut_bias`] reproduces `matmul_bias`'s exact
     /// reduction (ascending-`k`, one add per element, identical
     /// zero-skip). [`QuantizedStats`] attributes the GEMM to the kernel's
-    /// quad or row path by its height. Returns `None` (float fallback)
-    /// whenever the weight has no retained codes or the retained
-    /// activation doesn't match.
+    /// quad or row path by its height, once in the executor's counters
+    /// and once for every request of `layout`. Returns `None` (float
+    /// fallback) whenever the weight has no retained codes or the
+    /// retained activation doesn't match.
     fn linear_packed(
         &mut self,
         weight_name: &str,
         x: &Matrix,
         _w: &Matrix,
         b: &[f32],
-        _layout: &PackedLayout,
+        layout: &PackedLayout,
     ) -> Option<Matrix> {
         if self.mode != ExecMode::IndexDomain {
             return None;
@@ -702,12 +704,19 @@ impl Executor for QuantizedExecutor<'_> {
         if stored.rows != x.rows() || stored.cols != x.cols() || k != x.cols() || b.len() != n {
             return None;
         }
-        if stored.rows >= QUAD_ROWS {
-            self.stats.counter_array_gemms += 1;
-        } else {
-            self.stats.pair_lut_gemms += 1;
+        let quad = stored.rows >= QUAD_ROWS;
+        let out =
+            matmul_lut_bias(&stored.bits, stored.rows, stored.cols, &entry.codes, b, &entry.lut);
+        let requests = layout.regions.len();
+        self.request_stats(requests);
+        for stats in std::iter::once(&mut self.stats).chain(&mut self.per_request[..requests]) {
+            if quad {
+                stats.counter_array_gemms += 1;
+            } else {
+                stats.pair_lut_gemms += 1;
+            }
         }
-        Some(matmul_lut_bias(&stored.bits, stored.rows, stored.cols, &entry.codes, b, &entry.lut))
+        Some(out)
     }
 }
 

@@ -16,25 +16,33 @@ use mokey_core::encode::Code;
 use mokey_core::lut::DecodeLut;
 use mokey_tensor::Matrix;
 
-/// One layer's cached K and V code rows.
-#[derive(Debug, Clone, Default)]
-struct LayerKv {
-    k_bits: Vec<u8>,
-    v_bits: Vec<u8>,
+/// Which of a layer's two cached tensors.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Kv {
+    K = 0,
+    V = 1,
 }
 
 /// Per-layer quantized K/V storage for one generation, growing one row
 /// per decoded token (plus the whole prompt at prefill).
 #[derive(Debug, Clone)]
 pub struct KvCache {
-    layers: Vec<LayerKv>,
+    /// Each layer's K and V code rows, indexed by [`Kv`].
+    layers: Vec<[Vec<u8>; 2]>,
     hidden: usize,
 }
 
 impl KvCache {
     /// An empty cache for `layers` encoder layers of width `hidden`.
     pub fn new(layers: usize, hidden: usize) -> Self {
-        Self { layers: vec![LayerKv::default(); layers], hidden }
+        Self::with_capacity(layers, hidden, 0)
+    }
+
+    /// An empty cache with room for `positions` rows per layer, so a
+    /// generation whose length is known up front never reallocates it.
+    pub fn with_capacity(layers: usize, hidden: usize, positions: usize) -> Self {
+        let tensor = || Vec::with_capacity(positions * hidden);
+        Self { layers: (0..layers).map(|_| [tensor(), tensor()]).collect(), hidden }
     }
 
     /// Number of layers the cache covers.
@@ -43,14 +51,15 @@ impl KvCache {
     }
 
     /// Cached positions (rows) in one layer. All layers agree between
-    /// steps; mid-step, layers already visited are one row ahead.
+    /// steps; mid-step, K rows of the layers already visited are one row
+    /// ahead.
     pub fn positions(&self, li: usize) -> usize {
-        self.layers[li].k_bits.len() / self.hidden
+        self.layers[li][Kv::K as usize].len() / self.hidden
     }
 
     /// Cache size in bytes (one byte per stored 5-bit code).
     pub fn bytes(&self) -> usize {
-        self.layers.iter().map(|l| l.k_bits.len() + l.v_bits.len()).sum()
+        self.layers.iter().flatten().map(Vec::len).sum()
     }
 
     /// Appends captured K and V code rows (one row per position — a
@@ -64,31 +73,46 @@ impl KvCache {
         assert_eq!(k.cols, self.hidden, "K capture width mismatch");
         assert_eq!(v.cols, self.hidden, "V capture width mismatch");
         assert_eq!(k.rows, v.rows, "K/V row count mismatch");
-        let layer = &mut self.layers[li];
-        layer.k_bits.extend_from_slice(&k.bits);
-        layer.v_bits.extend_from_slice(&v.bits);
+        self.append_codes(li, Kv::K, &k.bits);
+        self.append_codes(li, Kv::V, &v.bits);
+    }
+
+    /// Appends raw row-major code rows (`hidden` codes per position) of
+    /// one tensor — one session's row of a fused decode step's capture.
+    pub(crate) fn append_codes(&mut self, li: usize, which: Kv, codes: &[u8]) {
+        assert_eq!(codes.len() % self.hidden, 0, "code rows mismatch");
+        self.layers[li][which as usize].extend_from_slice(codes);
     }
 
     /// Rematerializes one layer's K rows (`positions × hidden`) through
     /// the tensor's decode table — bit-identical to the floats the
     /// encoding hook emitted when each row was cached.
     pub fn decode_k(&self, li: usize, lut: &DecodeLut) -> Matrix {
-        decode_rows(&self.layers[li].k_bits, self.hidden, lut)
+        self.decode(li, Kv::K, lut)
     }
 
     /// Rematerializes one layer's V rows (`positions × hidden`).
     pub fn decode_v(&self, li: usize, lut: &DecodeLut) -> Matrix {
-        decode_rows(&self.layers[li].v_bits, self.hidden, lut)
+        self.decode(li, Kv::V, lut)
     }
-}
 
-fn decode_rows(bits: &[u8], hidden: usize, lut: &DecodeLut) -> Matrix {
-    let rows = bits.len() / hidden;
-    let mut m = Matrix::zeros(rows, hidden);
-    for (slot, &b) in m.as_mut_slice().iter_mut().zip(bits) {
-        *slot = lut.value(Code::from_bits(b));
+    fn decode(&self, li: usize, which: Kv, lut: &DecodeLut) -> Matrix {
+        let bits = &self.layers[li][which as usize];
+        let mut m = Matrix::zeros(bits.len() / self.hidden, self.hidden);
+        self.decode_into(li, which, lut, m.as_mut_slice());
+        m
     }
-    m
+
+    /// Rematerializes one tensor's rows of one layer into the leading
+    /// values of `out` (row-major) — a session's block of a fused decode
+    /// step's K or V matrix, written in place.
+    pub(crate) fn decode_into(&self, li: usize, which: Kv, lut: &DecodeLut, out: &mut [f32]) {
+        let bits = &self.layers[li][which as usize];
+        assert!(out.len() >= bits.len(), "decode destination too small");
+        for (slot, &b) in out.iter_mut().zip(bits) {
+            *slot = lut.value(Code::from_bits(b));
+        }
+    }
 }
 
 #[cfg(test)]

@@ -7,6 +7,7 @@
 
 use crate::config::ModelConfig;
 use crate::exec::Executor;
+use crate::kv::Kv;
 use crate::packed::{fused_attention_context, fused_attention_scores, PackedBatch, PackedLayout};
 use mokey_tensor::init::GaussianMixture;
 use mokey_tensor::{nn, Matrix};
@@ -66,18 +67,20 @@ pub struct EncoderLayer {
 
 /// Where an encoder layer's attention keys and values come from.
 pub(crate) trait KvSource<E: ?Sized> {
-    /// Given layer `li`'s freshly encoded K/V rows (laid out like the
-    /// pack's queries), returns the `(B·W) × hidden` K and V matrices the
-    /// layer attends over (see [`PackedBatch`]).
-    fn keys_values(&mut self, li: usize, exec: &mut E, k: Matrix, v: Matrix) -> (Matrix, Matrix);
+    /// Given layer `li`'s freshly encoded K or V rows (laid out like the
+    /// pack's queries), returns the packed K or V matrix the layer
+    /// attends over ([`PackedBatch::kv_rows`] rows, see [`PackedBatch`]).
+    /// A layer asks for its keys, drops them once the scores exist, and
+    /// only then asks for its values.
+    fn history(&mut self, li: usize, which: Kv, exec: &mut E, fresh: Matrix) -> Matrix;
 }
 
 /// An encoder pass attends over the pack's own rows.
 struct OwnRows;
 
 impl<E: ?Sized> KvSource<E> for OwnRows {
-    fn keys_values(&mut self, _li: usize, _exec: &mut E, k: Matrix, v: Matrix) -> (Matrix, Matrix) {
-        (k, v)
+    fn history(&mut self, _li: usize, _which: Kv, _exec: &mut E, fresh: Matrix) -> Matrix {
+        fresh
     }
 }
 
@@ -300,17 +303,22 @@ impl Model {
             let q = exec.activation_packed(&format!("{pre}.attn.q"), q, &rows);
             let k = exec.activation_packed(&format!("{pre}.attn.k"), k, &rows);
             let v = exec.activation_packed(&format!("{pre}.attn.v"), v, &rows);
-            let (k, v) = kv.keys_values(li, exec, k, v);
 
             // Fused block-diagonal attention: one region-strided kernel
             // invocation per stage — Q·K^T with the padding mask, one
             // softmax over the whole (request-major, then head-major)
             // probability matrix, then P·V — bit-identical to the
             // per-sequence formulation (see `packed::fused_attention_scores`).
-            let mut probs = fused_attention_scores(&q, &k, pack, heads, dh, scale);
+            // The key history is dropped before the value history is
+            // built, so a decode step holds only one of them at a time.
+            let keys = kv.history(li, Kv::K, exec, k);
+            let mut probs = fused_attention_scores(&q, &keys, pack, heads, dh, scale);
+            drop(keys);
             nn::softmax_rows(&mut probs);
             let probs = exec.activation_packed(&format!("{pre}.attn.probs"), probs, &probs_layout);
-            let context = fused_attention_context(&probs, &v, pack, heads, dh, self.config.hidden);
+            let values = kv.history(li, Kv::V, exec, v);
+            let context =
+                fused_attention_context(&probs, &values, pack, heads, dh, self.config.hidden);
             let context = exec.activation_packed(&format!("{pre}.attn.context"), context, &rows);
             let attn_out =
                 self.linear(exec, &format!("{pre}.attn.wo"), &context, &layer.wo, &layer.bo, &rows);

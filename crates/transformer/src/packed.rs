@@ -36,17 +36,21 @@ use mokey_tensor::{dot_wide, Matrix};
 /// Request `i` owns query rows `[i·S, i·S + len_i)` of a packed
 /// `(B·S) × _` activation matrix (`S` = longest query length) and
 /// attends over `past_i + len_i` key/value rows, laid out at
-/// `[i·W, i·W + past_i + len_i)` of a `(B·W) × hidden` K/V matrix
-/// (`W` = [`PackedBatch::kv_width`]). An encoder pass has no history, so
-/// `W = S` and the keys are the pack's own rows; a decode step
-/// ([`PackedBatch::decode_step`]) is one query row per request over its
-/// cached positions plus itself.
+/// `[o_i, o_i + past_i + len_i)` of a `(Σ past + B·S) × hidden` K/V
+/// matrix, where each request's block of `past_i + S` rows follows the
+/// previous one (`o_i` = [`PackedBatch::kv_row_of`]). An encoder pass
+/// has no history, so `o_i = i·S` and the keys are the pack's own rows;
+/// a decode step ([`PackedBatch::decode_step`]) is one query row per
+/// request over its cached positions plus itself, so its K/V blocks are
+/// exactly as long as each history and carry no padding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PackedBatch {
     lens: Vec<usize>,
     past: Vec<usize>,
     seq: usize,
     width: usize,
+    /// First K/V row of each request, plus the total as a last entry.
+    kv_starts: Vec<usize>,
 }
 
 impl PackedBatch {
@@ -78,7 +82,13 @@ impl PackedBatch {
         assert!(lens.len() == 1 || lens.iter().all(|&l| l > 0), "cannot pack an empty sequence");
         let seq = lens.iter().copied().max().unwrap_or(0);
         let width = lens.iter().zip(&past).map(|(l, p)| l + p).max().unwrap_or(0);
-        Self { lens, past, seq, width }
+        let kv_starts = std::iter::once(0)
+            .chain(past.iter().scan(0, |end, p| {
+                *end += p + seq;
+                Some(*end)
+            }))
+            .collect();
+        Self { lens, past, seq, width, kv_starts }
     }
 
     /// Number of requests in the pack.
@@ -107,10 +117,20 @@ impl PackedBatch {
         self.past[i]
     }
 
-    /// Key/value rows per request in a packed K/V matrix and columns of
-    /// the attention-probability matrix: the longest `past + len`.
+    /// Columns of the attention-probability matrix: the longest
+    /// `past + len`.
     pub fn kv_width(&self) -> usize {
         self.width
+    }
+
+    /// First row of request `i`'s block in a packed K/V matrix.
+    pub fn kv_row_of(&self, i: usize) -> usize {
+        self.kv_starts[i]
+    }
+
+    /// Total rows of a packed K/V matrix (`Σ past + B·S`).
+    pub fn kv_rows(&self) -> usize {
+        self.kv_starts[self.lens.len()]
     }
 
     /// Total rows of a packed activation matrix (`B · S`).
@@ -207,7 +227,7 @@ pub struct Region {
 /// Fused block-diagonal `Q·K^T` over a packed batch: one region-strided
 /// pass producing the scaled, padding-masked score matrix
 /// (`(B·heads·S) × W`, request-major then head-major) from the packed
-/// `(B·S) × hidden` queries and `(B·W) × hidden` keys (see
+/// `(B·S) × hidden` queries and the packed keys (see
 /// [`PackedBatch`] for the row layout).
 ///
 /// Each element is `dot_wide(q_slice, k_slice) * scale` on the exact head
@@ -231,7 +251,7 @@ pub fn fused_attention_scores(
     let mut scores = Matrix::zeros(pack.requests() * heads * s, w);
     for bi in 0..pack.requests() {
         let kv_len = pack.kv_len(bi);
-        let (q_base, kv_base) = (pack.row_of(bi), bi * w);
+        let (q_base, kv_base) = (pack.row_of(bi), pack.kv_row_of(bi));
         for hd in 0..heads {
             let c0 = hd * dh;
             let probs_base = (bi * heads + hd) * s;
@@ -253,7 +273,7 @@ pub fn fused_attention_scores(
 /// Fused block-diagonal `P·V` over a packed batch: one region-strided
 /// pass accumulating every head's context slice straight into the packed
 /// `(B·S) × hidden` output, from the post-softmax probability matrix laid
-/// out by [`PackedBatch::probs_layout`] and the `(B·W) × hidden` values.
+/// out by [`PackedBatch::probs_layout`] and the packed values.
 ///
 /// Per output element the accumulation is ascending over the key
 /// positions with exactly one addition per non-zero probability — the
@@ -269,10 +289,10 @@ pub fn fused_attention_context(
     dh: usize,
     hidden: usize,
 ) -> Matrix {
-    let (s, w) = (pack.seq(), pack.kv_width());
+    let s = pack.seq();
     let mut context = Matrix::zeros(pack.total_rows(), hidden);
     for bi in 0..pack.requests() {
-        let (q_base, kv_base) = (pack.row_of(bi), bi * w);
+        let (q_base, kv_base) = (pack.row_of(bi), pack.kv_row_of(bi));
         for hd in 0..heads {
             let c0 = hd * dh;
             let probs_base = (bi * heads + hd) * s;
@@ -336,12 +356,17 @@ mod tests {
         let pack = PackedBatch::decode_step(&[5, 2]);
         assert_eq!((pack.seq(), pack.total_rows(), pack.kv_width()), (1, 2, 6));
         assert_eq!(pack.past_of(1), 2);
+        // K/V blocks are exactly each history plus the new row.
+        assert_eq!((pack.kv_row_of(0), pack.kv_row_of(1), pack.kv_rows()), (0, 6, 9));
         let probs = pack.probs_layout(2);
         assert_eq!(probs.regions[1].row_blocks, vec![(2, 1), (3, 1)]);
         assert_eq!(probs.regions[1].cols, Some(3));
         // A lone empty sequence is a zero-row pack with no history.
         let empty = PackedBatch::new(&[Vec::<usize>::new()]);
         assert_eq!((empty.total_rows(), empty.kv_width()), (0, 0));
+        // An encoder pack's keys are its own padded rows.
+        let enc = PackedBatch::new(&[vec![0usize; 4], vec![0; 2]]);
+        assert_eq!((enc.kv_row_of(1), enc.kv_rows()), (4, enc.total_rows()));
     }
 
     #[test]

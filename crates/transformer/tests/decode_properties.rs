@@ -12,7 +12,9 @@
 
 use mokey_transformer::decode::{generate, generate_reference};
 use mokey_transformer::quantize::QuantizedModel;
-use mokey_transformer::{ExecMode, Head, Model, ModelConfig, QuantizeSpec, QuantizedContext};
+use mokey_transformer::{
+    DecodeSession, ExecMode, Head, Model, ModelConfig, QuantizeSpec, QuantizedContext,
+};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -85,5 +87,48 @@ proptest! {
         let reference = generate_reference(model, ctx, &prompt, 3 * MAX_SEQ, None, mode);
         prop_assert!(incremental == reference, "boundary divergence at slack {slack}");
         prop_assert_eq!(incremental.tokens.len(), slack + 2);
+    }
+
+    /// Fused multi-session steps ≡ one solo `generate` per session: the
+    /// sessions share every `step_batch` pass (one query row each, over
+    /// histories of different lengths) until each one finishes on its
+    /// own budget, EOS or the `max_seq` boundary, and tokens, the final
+    /// hidden bits and the counters all match.
+    #[test]
+    fn fused_steps_match_solo_generation(
+        specs in prop::collection::vec((1usize..MAX_SEQ, 0usize..24, 0u64..10_000, 0usize..10), 1..=6),
+        index_domain in prop::bool::ANY,
+    ) {
+        let (model, ctx) = fixture();
+        let mode = if index_domain { ExecMode::IndexDomain } else { ExecMode::Decoded };
+        let mut sessions = Vec::new();
+        let mut solo = Vec::new();
+        for &(prompt_len, max_tokens, seed, eos_at) in &specs {
+            let prompt = model.random_tokens(prompt_len, seed);
+            // An EOS the unconstrained run emits, so some sessions stop on it.
+            let free = generate(model, ctx, &prompt, max_tokens, None, mode);
+            let eos = free.tokens.get(eos_at).copied();
+            solo.push(generate(model, ctx, &prompt, max_tokens, eos, mode));
+            sessions.push(DecodeSession::prefill(model, ctx, &prompt, max_tokens, eos, mode));
+        }
+        loop {
+            let mut live: Vec<&mut DecodeSession> =
+                sessions.iter_mut().filter(|s| !s.is_done()).collect();
+            if live.is_empty() {
+                break;
+            }
+            let tokens = DecodeSession::step_batch(&mut live, model, ctx);
+            let last: Vec<usize> = live.iter().map(|s| *s.generated().last().unwrap()).collect();
+            prop_assert_eq!(tokens, last);
+        }
+        for (i, (session, expected)) in sessions.into_iter().zip(&solo).enumerate() {
+            let fused = session.into_result();
+            prop_assert_eq!(&fused.tokens, &expected.tokens, "session {} tokens", i);
+            let bits = |r: &mokey_transformer::GenerateResult| -> Vec<u32> {
+                r.hidden.as_slice().iter().map(|v| v.to_bits()).collect()
+            };
+            prop_assert_eq!(bits(&fused), bits(expected), "session {} hidden bits", i);
+            prop_assert_eq!(fused.stats, expected.stats, "session {} counters", i);
+        }
     }
 }

@@ -289,6 +289,65 @@ fn generation_over_the_wire_matches_direct_decode_token_for_token() {
 }
 
 #[test]
+fn pipelined_generations_on_one_connection_match_direct_decode() {
+    let registry = registry();
+    let p = prepared(&registry);
+    // Six prompts of different lengths, all in flight at once on one
+    // connection, so decode slices fuse generations with different
+    // histories.
+    let jobs: Vec<(Vec<usize>, usize)> =
+        (0..6).map(|i| (p.model().random_tokens(4 + 3 * i, 140 + i as u64), 5 + i)).collect();
+    for mode in [ExecMode::Decoded, ExecMode::IndexDomain] {
+        let config = ServeConfig { mode, ..serve_config() };
+        let (streams, report) = serve_net(&registry, config, NetConfig::default(), |net| {
+            let mut client = NetClient::connect(&net.addr().to_string()).unwrap();
+            for (corr, (prompt, budget)) in jobs.iter().enumerate() {
+                client.send_generate(corr as u64, "classify", prompt, *budget, None).unwrap();
+            }
+            let mut streams = vec![(Vec::new(), None); jobs.len()];
+            let mut open = jobs.len();
+            let mut stream = client.stream();
+            while open > 0 {
+                match mokey_serve::read_frame(&mut stream, 1 << 20).unwrap().unwrap() {
+                    Frame::Generated { corr, index, token, summary } => {
+                        let (tokens, done) = &mut streams[corr as usize];
+                        match summary {
+                            None => {
+                                assert_eq!(
+                                    index as usize,
+                                    tokens.len(),
+                                    "corr {corr} out of order"
+                                );
+                                tokens.push(token as usize);
+                            }
+                            Some(summary) => {
+                                *done = Some(summary);
+                                open -= 1;
+                            }
+                        }
+                    }
+                    other => panic!("unexpected frame: {other:?}"),
+                }
+            }
+            streams
+        })
+        .unwrap();
+        for ((prompt, budget), (tokens, summary)) in jobs.iter().zip(&streams) {
+            let direct =
+                mokey_transformer::generate(p.model(), p.context(), prompt, *budget, None, mode);
+            assert_eq!(tokens, &direct.tokens, "mode {mode:?}: wire stream diverged");
+            assert_eq!(summary.expect("a summary").stats, direct.stats, "mode {mode:?}");
+        }
+        let total: usize = jobs.iter().map(|(_, budget)| budget).sum();
+        assert_eq!(report.aggregate.generated_tokens, total as u64);
+        assert!(
+            report.aggregate.generated_tokens > report.aggregate.decode_steps,
+            "no slice fused"
+        );
+    }
+}
+
+#[test]
 fn oversized_frames_bounce_before_the_server_allocates() {
     let registry = registry();
     let net = NetConfig { max_frame_bytes: 4096, ..NetConfig::default() };
