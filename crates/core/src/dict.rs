@@ -296,13 +296,31 @@ impl TensorDict {
     /// Encodes one value to its nearest centroid across **both**
     /// dictionaries (ties prefer Gaussian), exactly as the Fig. 7 output
     /// quantization engine does in hardware.
+    ///
+    /// A magnitude past the last entry of both tables clamps to the end
+    /// of the table whose last magnitude is larger. Comparing the two
+    /// distances there would be the same choice, except that far out
+    /// (|z| ≳ 2^53) the `f64` subtractions round both distances to one
+    /// value and the tie would pick the Gaussian end.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `value` is NaN.
     pub fn encode_value(&self, value: f32) -> Code {
         let z = (f64::from(value) - self.shift) / self.scale;
         let negative = z < 0.0;
         let az = z.abs();
         let (gi, gd) = nearest(&self.g_magnitudes, az);
-        if self.ot_magnitudes.is_empty() {
+        let (Some(&g_last), Some(&ot_last)) = (self.g_magnitudes.last(), self.ot_magnitudes.last())
+        else {
             return Code::new(false, negative, gi as u8);
+        };
+        if az > g_last && az > ot_last {
+            return if ot_last > g_last {
+                Code::new(true, negative, (self.ot_magnitudes.len() - 1) as u8)
+            } else {
+                Code::new(false, negative, gi as u8)
+            };
         }
         let (oi, od) = nearest(&self.ot_magnitudes, az);
         if gd <= od {
@@ -534,9 +552,17 @@ mod tests {
         let values = weight_values();
         let dict =
             TensorDict::for_values(&values, &ExpCurve::paper(), &Default::default()).unwrap();
-        let code = dict.encode_value(1e6);
-        assert!(code.is_outlier());
-        assert_eq!(code.index() as usize, dict.ot_magnitudes().len() - 1);
+        let last = dict.ot_magnitudes().len() - 1;
+        // 1e18 and f32::MAX sit past 2^53 in z-space, where the two
+        // distances to the table ends round to one value.
+        for v in [1e6, 1e18, f32::MAX, f32::INFINITY] {
+            for (value, negative) in [(v, false), (-v, true)] {
+                let code = dict.encode_value(value);
+                assert!(code.is_outlier(), "{value} did not clamp to the outlier table");
+                assert_eq!(code.is_negative(), negative, "{value} lost its sign");
+                assert_eq!(code.index() as usize, last, "{value} did not clamp to the last bin");
+            }
+        }
     }
 
     #[test]

@@ -111,11 +111,16 @@ mod tests {
     #[test]
     fn extreme_values_clamp_to_ladder_ends() {
         let e = engine();
-        let lo = e.quantize(-1e9);
-        let hi = e.quantize(1e9);
-        assert!(lo.is_negative());
-        assert!(!hi.is_negative());
-        assert!(lo.is_outlier() && hi.is_outlier());
+        let last = e.dict().ot_magnitudes().len() - 1;
+        for v in [1e9, 1e18, f32::MAX, f32::INFINITY] {
+            let lo = e.quantize(-v);
+            let hi = e.quantize(v);
+            assert!(lo.is_negative());
+            assert!(!hi.is_negative());
+            assert!(lo.is_outlier() && hi.is_outlier());
+            assert_eq!((lo.index() as usize, hi.index() as usize), (last, last));
+            assert_eq!((lo, hi), (e.dict().encode_value(-v), e.dict().encode_value(v)));
+        }
     }
 
     #[test]

@@ -124,6 +124,34 @@ proptest! {
         prop_assert_eq!(Code::from_bits4(c.to_bits4(), outlier), c);
     }
 
+    /// `encode_value` is monotone: a larger input never decodes to a
+    /// smaller centroid, from subnormals out to ±f32::MAX and ±∞.
+    #[test]
+    fn encode_value_is_monotone_over_wide_magnitudes(
+        values in tensor_strategy(),
+        bits in prop::collection::vec(0u32..=u32::MAX, 1..64),
+        policy in 0usize..3,
+    ) {
+        let policy = [
+            OutlierPolicy::CurveMidpoint,
+            OutlierPolicy::Fraction(0.2),
+            OutlierPolicy::Disabled,
+        ][policy];
+        let dict = dict_for(&values, policy);
+        let mut probes: Vec<f32> =
+            bits.iter().map(|&b| f32::from_bits(b)).filter(|v| !v.is_nan()).collect();
+        probes.extend_from_slice(&values);
+        for v in [0.0f32, 1e9, 1e18, f32::MAX, f32::INFINITY] {
+            probes.extend([v, -v]);
+        }
+        probes.sort_by(f32::total_cmp);
+        let decoded: Vec<f64> =
+            probes.iter().map(|&v| dict.decode_code(dict.encode_value(v))).collect();
+        for (d, p) in decoded.windows(2).zip(probes.windows(2)) {
+            prop_assert!(d[0] <= d[1], "{} -> {} but {} -> {}", p[0], d[0], p[1], d[1]);
+        }
+    }
+
     /// The Fig. 7 hardware quantizer and the software encoder agree on
     /// every probe value.
     #[test]
