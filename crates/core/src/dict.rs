@@ -6,6 +6,13 @@
 //! `GD × s + m`." Each tensor carries **two** dictionaries: a Gaussian (G)
 //! dictionary — the fitted exponential curve — for the bulk, and an Outlier
 //! (OT) dictionary for the rare wide-range values.
+//!
+//! [`TensorDict::encode_value`] is the specification of encoding: the
+//! nearest centroid across both tables, computed per value in `f64`. Nothing
+//! serves through it. Every activation, KV and weight encode runs through
+//! the dictionary's comparator table,
+//! [`OutputQuantizer`](crate::quantizer::OutputQuantizer), which is built
+//! from `encode_value` and equals it code for code.
 
 use crate::curve::ExpCurve;
 use crate::encode::Code;

@@ -7,6 +7,7 @@
 //! centroid index/3b) indexes" — [`Code`] is that 5-bit form.
 
 use crate::dict::{DictError, TensorDict};
+use crate::quantizer::OutputQuantizer;
 use mokey_tensor::Matrix;
 use serde::{Deserialize, Serialize};
 
@@ -134,10 +135,16 @@ pub struct QuantizedTensor {
 }
 
 impl QuantizedTensor {
-    /// Encodes a matrix with the given dictionary.
+    /// Encodes a matrix with the given dictionary, through the
+    /// dictionary's comparator table ([`OutputQuantizer`]).
     pub fn encode(matrix: &Matrix, dict: &TensorDict) -> Self {
-        let codes = matrix.as_slice().iter().map(|&v| dict.encode_value(v)).collect();
-        Self { rows: matrix.rows(), cols: matrix.cols(), codes, dict: dict.clone() }
+        OutputQuantizer::new(dict.clone()).quantize_matrix(matrix)
+    }
+
+    /// Assembles a tensor from codes already produced for `dict`.
+    pub(crate) fn from_codes(rows: usize, cols: usize, codes: Vec<Code>, dict: TensorDict) -> Self {
+        debug_assert_eq!(codes.len(), rows * cols);
+        Self { rows, cols, codes, dict }
     }
 
     /// Convenience: builds the dictionary from the matrix itself, then

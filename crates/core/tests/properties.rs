@@ -152,6 +152,63 @@ proptest! {
         }
     }
 
+    /// The comparator table equals `encode_value` code for code, through
+    /// the scalar and both slice encoders: on every threshold and the
+    /// `f32` either side of it, ±0, subnormals, ±∞, far outliers and
+    /// random bit patterns, at scales from 0.0005 to 120 and with an empty
+    /// outlier table.
+    #[test]
+    fn comparator_table_equals_encode_value(
+        values in tensor_strategy(),
+        scale in 0usize..3,
+        policy in 0usize..4,
+        bits in prop::collection::vec(0u32..=u32::MAX, 1..64),
+    ) {
+        let scale = [1.0f32, 0.05, 40.0][scale];
+        let values: Vec<f32> = values.iter().map(|v| v * scale).collect();
+        let policy = [
+            OutlierPolicy::CurveMidpoint,
+            OutlierPolicy::Fraction(0.2),
+            OutlierPolicy::Threshold(2.0),
+            OutlierPolicy::Disabled,
+        ][policy];
+        let dict = dict_for(&values, policy);
+        let engine = OutputQuantizer::new(dict.clone());
+        prop_assert!(engine.comparator_count() <= 31);
+        let mut probes: Vec<f32> =
+            bits.iter().map(|&b| f32::from_bits(b)).filter(|v| !v.is_nan()).collect();
+        for &t in engine.thresholds() {
+            probes.extend([t.next_down(), t, t.next_up()]);
+        }
+        probes.extend_from_slice(&values);
+        for v in [
+            0.0f32,
+            f32::from_bits(1),
+            f32::from_bits(0x007F_FFFF),
+            f32::MIN_POSITIVE,
+            1e18,
+            1e30,
+            f32::MAX,
+            f32::INFINITY,
+        ] {
+            probes.extend([v, -v]);
+        }
+        let expect: Vec<u8> = probes.iter().map(|&v| dict.encode_value(v).to_bits()).collect();
+        for (&v, &e) in probes.iter().zip(&expect) {
+            prop_assert_eq!(engine.quantize(v).to_bits(), e, "value {}", v);
+        }
+        let mut bits = vec![0u8; probes.len()];
+        engine.encode_slice(&probes, &mut bits);
+        prop_assert_eq!(&bits, &expect);
+        let mut quantized = probes.clone();
+        engine.quantize_slice(&mut quantized, Some(&mut bits));
+        prop_assert_eq!(&bits, &expect);
+        for (&q, &e) in quantized.iter().zip(&expect) {
+            let centroid = dict.decode_code(Code::from_bits(e)) as f32;
+            prop_assert_eq!(q.to_bits(), centroid.to_bits());
+        }
+    }
+
     /// The Fig. 7 hardware quantizer and the software encoder agree on
     /// every probe value.
     #[test]
