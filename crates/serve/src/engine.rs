@@ -452,7 +452,7 @@ impl ServeHandle<'_> {
             SubmitError::SequenceTooLong { len, max_seq }
         } else if let Some(&token) = tokens.iter().chain(&eos).find(|&&t| t >= vocab) {
             SubmitError::TokenOutOfVocab { token, vocab }
-        } else if budget.is_some() && !slot.model.context().act_dicts.contains_key("L0.attn.k") {
+        } else if budget.is_some() && slot.model.context().act_dict("L0.attn.k").is_none() {
             SubmitError::DecodeUnsupported { model }
         } else {
             return Ok(());

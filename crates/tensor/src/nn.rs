@@ -91,11 +91,6 @@ pub fn gelu(x: f32) -> f32 {
     0.5 * x * (1.0 + (SQRT_2_OVER_PI * (x + 0.044_715 * x * x * x)).tanh())
 }
 
-/// Applies [`gelu`] to every element.
-pub fn gelu_inplace(m: &mut Matrix) {
-    m.map_inplace(gelu);
-}
-
 /// Hyperbolic-tangent pooler activation applied element-wise.
 pub fn tanh_inplace(m: &mut Matrix) {
     m.map_inplace(f32::tanh);

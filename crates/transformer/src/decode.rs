@@ -91,7 +91,7 @@ impl DecodeSession {
     ) -> Self {
         assert!(!prompt.is_empty(), "decode needs a non-empty prompt");
         assert!(
-            ctx.act_dicts.contains_key("L0.attn.k"),
+            ctx.act_dict("L0.attn.k").is_some(),
             "decode requires activation quantization (K/V dictionaries)"
         );
         let tensors = kv_tensors(ctx, model.config().layers);
@@ -332,7 +332,7 @@ fn kv_tensors(ctx: &QuantizedContext, layers: usize) -> Vec<KvTensors> {
             let names = ["k", "v"].map(|which| format!("L{li}.attn.{which}"));
             let luts = names
                 .each_ref()
-                .map(|name| ctx.act_decode.get(name).copied().expect("K/V activation dictionary"));
+                .map(|name| *ctx.act_table(name).expect("K/V activation dictionary").decode());
             KvTensors { names, luts }
         })
         .collect()

@@ -22,8 +22,9 @@ use crate::model::{Model, TaskOutput};
 use crate::packed::{PackedBatch, PackedLayout};
 use mokey_core::dict::TensorDict;
 use mokey_core::encode::QuantizedTensor;
-use mokey_core::lut::{matmul_lut_bias, DecodeLut, PairLut, QUAD_ROWS, SKIP_CODE};
+use mokey_core::lut::{matmul_lut_bias, PairLut, QUAD_ROWS, SKIP_CODE};
 use mokey_core::profile::ActivationProfiler;
+use mokey_core::quantizer::OutputQuantizer;
 use mokey_fixed::{snap_to_grid, QFormat};
 use mokey_tensor::Matrix;
 use std::collections::{BTreeMap, BTreeSet};
@@ -165,16 +166,13 @@ pub struct QuantizedContext {
     /// Decoded centroid weight matrices (present when weights are
     /// quantized).
     pub weights: BTreeMap<String, Matrix>,
-    /// Per-activation-tensor dictionaries (present when activations are
-    /// quantized).
-    pub act_dicts: BTreeMap<String, TensorDict>,
     /// Per-GEMM-output 16-bit fixed-point formats (Eq. 7 from profiled
     /// ranges).
     pub out_formats: BTreeMap<String, QFormat>,
-    /// Per-activation-dictionary decode tables (mirrors `act_dicts`):
-    /// replaces the branchy per-value `decode_code` in the hot encoding
-    /// hooks with one table gather, bit-identically.
-    pub(crate) act_decode: BTreeMap<String, DecodeLut>,
+    /// Per-activation-tensor comparator tables (present when activations
+    /// are quantized), each owning its dictionary and decode table: the
+    /// one encoder every activation and K/V encode runs through.
+    act_tables: BTreeMap<String, OutputQuantizer>,
     /// Index-domain state, keyed by weight name (empty until
     /// [`QuantizedContext::set_index_domain`]).
     pub(crate) luts: BTreeMap<String, LutLinear>,
@@ -265,23 +263,39 @@ pub struct BatchRun {
 }
 
 impl QuantizedContext {
-    /// Builds a context from the session products, deriving the
-    /// per-dictionary decode tables.
+    /// Builds a context from the session products, building each
+    /// activation dictionary's comparator table once.
     pub fn new(
         weights: BTreeMap<String, Matrix>,
         act_dicts: BTreeMap<String, TensorDict>,
         out_formats: BTreeMap<String, QFormat>,
     ) -> Self {
-        let act_decode =
-            act_dicts.iter().map(|(name, dict)| (name.clone(), DecodeLut::new(dict))).collect();
+        let act_tables =
+            act_dicts.into_iter().map(|(name, dict)| (name, OutputQuantizer::new(dict))).collect();
         Self {
             weights,
-            act_dicts,
             out_formats,
-            act_decode,
+            act_tables,
             luts: BTreeMap::new(),
             encoded_acts: BTreeSet::new(),
         }
+    }
+
+    /// The activation dictionaries, by tensor name (empty when
+    /// activations are not quantized).
+    pub fn act_dicts(&self) -> impl Iterator<Item = (&str, &TensorDict)> {
+        self.act_tables.iter().map(|(name, table)| (name.as_str(), table.dict()))
+    }
+
+    /// The dictionary of a named activation tensor, if it is quantized.
+    pub fn act_dict(&self, name: &str) -> Option<&TensorDict> {
+        self.act_table(name).map(OutputQuantizer::dict)
+    }
+
+    /// The comparator table of a named activation tensor, if it is
+    /// quantized.
+    pub(crate) fn act_table(&self, name: &str) -> Option<&OutputQuantizer> {
+        self.act_tables.get(name)
     }
 
     /// Attaches index-domain state: per-weight codes and pair-LUTs.
@@ -490,7 +504,7 @@ struct ActCodes {
 /// The codes of one activation tensor harvested through
 /// [`QuantizedExecutor::capture`] — exactly the codes the encoding hook
 /// produced, so decoding them through the tensor's
-/// [`DecodeLut`] reproduces the hook's float
+/// [`DecodeLut`](mokey_core::lut::DecodeLut) reproduces the hook's float
 /// output bit-exactly. This is how the decode KV-cache stores K/V rows.
 #[derive(Debug, Clone)]
 pub struct CapturedCodes {
@@ -600,41 +614,37 @@ impl Executor for QuantizedExecutor<'_> {
     }
 
     /// Activation encoding: each value of every request's valid region is
-    /// dictionary-encoded and replaced by its decoded centroid, and the
-    /// counters are attributed to the owning request. Padding rows pass
-    /// through raw, and the masked zero probabilities beyond a request's
-    /// true length stay exactly `0.0` so the zero-skipping GEMM kernels
-    /// drop them. Retained and captured codes mark never-encoded
-    /// elements with [`SKIP_CODE`], which tells the LUT kernel to emit
-    /// their bias rows without decoding anything.
+    /// encoded through the tensor's comparator table and replaced by its
+    /// decoded centroid, and the counters are attributed to the owning
+    /// request. A full-width row band is one slice; a column-trimmed
+    /// region encodes row by row. Padding rows pass through raw, and the
+    /// masked zero probabilities beyond a request's true length stay
+    /// exactly `0.0` so the zero-skipping GEMM kernels drop them.
+    /// Retained and captured codes come out of the same pass and mark
+    /// never-encoded elements with [`SKIP_CODE`], which tells the LUT
+    /// kernel to emit their bias rows without decoding anything.
     fn activation_packed(&mut self, name: &str, m: Matrix, layout: &PackedLayout) -> Matrix {
-        let Some(dict) = self.ctx.act_dicts.get(name) else {
+        let Some(table) = self.ctx.act_table(name) else {
             return m;
         };
-        let decode = self.ctx.act_decode.get(name).copied().unwrap_or_else(|| DecodeLut::new(dict));
         let retain = self.retains(name);
         let capture = self.capture_names.contains(name);
         let keep = retain || capture;
         let (rows, width) = (m.rows(), m.cols());
         let mut bits = if keep { vec![SKIP_CODE; rows * width] } else { Vec::new() };
         let mut out = m;
+        let values = out.as_mut_slice();
         let mut deltas = vec![QuantizedStats::default(); layout.regions.len()];
         for (region, delta) in layout.regions.iter().zip(&mut deltas) {
             let cols = region.cols.unwrap_or(width);
             for &(start, count) in &region.row_blocks {
-                for r in start..start + count {
-                    let row_base = r * width;
-                    for (ci, v) in out.row_mut(r)[..cols].iter_mut().enumerate() {
-                        let code = dict.encode_value(*v);
-                        delta.act_values += 1;
-                        if code.is_outlier() {
-                            delta.act_outliers += 1;
-                        }
-                        if keep {
-                            bits[row_base + ci] = code.to_bits();
-                        }
-                        *v = decode.value(code);
-                    }
+                // One slice per full-width band, else one per row's prefix.
+                let (slices, len) = if cols == width { (1, count * width) } else { (count, cols) };
+                for i in 0..slices {
+                    let span = start * width + i * width..start * width + i * width + len;
+                    let codes = keep.then(|| &mut bits[span.clone()]);
+                    delta.act_outliers += table.quantize_slice(&mut values[span], codes);
+                    delta.act_values += len;
                 }
             }
         }

@@ -329,7 +329,8 @@ impl Model {
             let ffn_in = exec.activation_packed(&format!("{pre}.ffn.input"), x1, &rows);
             let mut mid =
                 self.linear(exec, &format!("{pre}.ffn.w1"), &ffn_in, &layer.w1, &layer.b1, &rows);
-            nn::gelu_inplace(&mut mid);
+            // Padding rows are never encoded or read, so GELU skips them.
+            rows.map_valid(&mut mid, nn::gelu);
             let mid = exec.activation_packed(&format!("{pre}.ffn.mid"), mid, &rows);
             let ffn_out =
                 self.linear(exec, &format!("{pre}.ffn.w2"), &mid, &layer.w2, &layer.b2, &rows);

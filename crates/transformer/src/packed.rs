@@ -213,6 +213,22 @@ impl PackedLayout {
     pub fn whole(rows: usize) -> Self {
         Self { regions: vec![Region { row_blocks: vec![(0, rows)], cols: None }] }
     }
+
+    /// Applies `f` to every valid element of `m` (each region's row
+    /// blocks, up to its column prefix), leaving padding untouched.
+    pub fn map_valid(&self, m: &mut Matrix, f: impl Fn(f32) -> f32) {
+        let width = m.cols();
+        for region in &self.regions {
+            let cols = region.cols.unwrap_or(width);
+            for &(start, count) in &region.row_blocks {
+                for r in start..start + count {
+                    for v in &mut m.row_mut(r)[..cols] {
+                        *v = f(*v);
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// The part of a packed matrix owned by one request.

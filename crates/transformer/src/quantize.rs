@@ -122,7 +122,7 @@ impl<'m> QuantizedModel<'m> {
 
     /// The activation dictionary of a named tensor, if present.
     pub fn act_dict(&self, name: &str) -> Option<&TensorDict> {
-        self.ctx.act_dicts.get(name)
+        self.ctx.act_dict(name)
     }
 
     /// Quantized inference on one sequence, returning the head output and
@@ -215,7 +215,7 @@ mod tests {
         assert!(report.weight_values > 0);
         let pct = report.weight_outlier_percent();
         assert!(pct > 0.1 && pct < 6.0, "weight OT% {pct}");
-        assert!(qm.context().act_dicts.is_empty());
+        assert_eq!(qm.context().act_dicts().count(), 0);
         assert_eq!(report.weight_outlier_fractions.len(), model.weight_tensors().len());
     }
 
@@ -300,7 +300,7 @@ mod tests {
         let (qp, rp) =
             QuantizedModel::prepare_with_session(&parallel, &model, spec, &profile).unwrap();
         assert_eq!(qs.context().weights, qp.context().weights);
-        assert_eq!(qs.context().act_dicts, qp.context().act_dicts);
+        assert!(qs.context().act_dicts().eq(qp.context().act_dicts()));
         assert_eq!(rs.weight_outliers, rp.weight_outliers);
         assert_eq!(rs.weight_outlier_fractions, rp.weight_outlier_fractions);
     }
