@@ -1,6 +1,7 @@
 //! Kernel microbenchmarks: the served index-domain GEMM versus the served
 //! float GEMM and the histogram reference — the software view of what the
-//! Mokey PE does in hardware — plus encode/quantizer throughput.
+//! Mokey PE does in hardware — plus the served activation encoder against
+//! its per-value specification.
 //!
 //! The GEMM comparison sweeps transformer-projection-like shapes
 //! (`192×128×{128,512}`: a packed `(batch·seq)×hidden` activation against
@@ -28,7 +29,12 @@
 //! [`fused_attention_context`]) against the per-sequence `slice_block` +
 //! GEMM formulation it replaced, at a serve-like ragged pack.
 //!
-//! Best-of-N values/sec (MACs per second) per kernel land in
+//! A third section times the served encoder
+//! ([`OutputQuantizer::encode_slice`]) against
+//! [`mokey_core::dict::TensorDict::encode_value`] on one activation tensor,
+//! asserts the two agree code for code, and prints the ratio.
+//!
+//! Best-of-N values/sec (MACs or values per second) per kernel land in
 //! `BENCH_kernels.json` at the workspace root, with the host's
 //! parallelism. The run **asserts** the LUT kernel beats the histogram
 //! kernel — ≥5× at `192×128×512` in a full run, a relaxed ≥2× under
@@ -361,6 +367,53 @@ fn bench(c: &mut Criterion) {
         fused_speedup >= fused_floor,
         "fused attention only {fused_speedup:.2}x per-sequence at {nb}x{s} h{heads}xd{dh} (floor {fused_floor}x, host_parallelism {host_par})"
     );
+    // ------------------------------------------------------------------
+    // Activation encode: the served slice encoder (the Fig. 7 comparator
+    // table, `OutputQuantizer::encode_slice`) next to the per-value
+    // specification it must equal, `TensorDict::encode_value`, both
+    // writing one code byte per value of a serve-like activation tensor.
+    // ------------------------------------------------------------------
+    let acts = activation_matrix(64, 256);
+    let dict = quantize(&acts).dict().clone();
+    let engine = OutputQuantizer::new(dict.clone());
+    let mut spec_bits = vec![0u8; acts.len()];
+    let mut slice_bits = vec![0u8; acts.len()];
+    let (enc_reps, enc_iters) = if quick { (3, 4) } else { (5, 20) };
+    let (spec_vps, slice_vps) = paired_values_per_sec(
+        acts.len(),
+        enc_reps,
+        enc_iters,
+        || {
+            for (b, &v) in spec_bits.iter_mut().zip(acts.as_slice()) {
+                *b = dict.encode_value(v).to_bits();
+            }
+            black_box(&spec_bits);
+        },
+        || {
+            black_box(engine.encode_slice(acts.as_slice(), &mut slice_bits));
+        },
+    );
+    // The table is the served encoder only because it equals the
+    // specification code for code.
+    assert_eq!(slice_bits, spec_bits, "encode_slice diverged from encode_value");
+    let encode_speedup = slice_vps / spec_vps;
+    println!(
+        "[kernels] encode {} values: dictionary_encode {:>10.0} | encode_slice {:>10.0} values/s ({:.1}x, {:.2} vs {:.2} ns/value, codes equal)",
+        acts.len(),
+        spec_vps,
+        slice_vps,
+        encode_speedup,
+        1e9 / spec_vps,
+        1e9 / slice_vps,
+    );
+    measured.push(("dictionary_encode".to_string(), spec_vps));
+    measured.push(("encode_slice".to_string(), slice_vps));
+    let encode_json = format!(
+        "  \"encode\": {{\n    \"values\": {},\n    \"comparators\": {},\n    \"kernels\": [\n      {{\n        \"kernel\": \"dictionary_encode\",\n        \"values_per_sec\": {spec_vps:.0}\n      }},\n      {{\n        \"kernel\": \"encode_slice\",\n        \"values_per_sec\": {slice_vps:.0}\n      }}\n    ],\n    \"slice_speedup_vs_dictionary_encode\": {encode_speedup:.2}\n  }}",
+        acts.len(),
+        engine.comparator_count(),
+    );
+
     let attention_json = format!(
         "  \"attention\": {{\n    \"requests\": {nb},\n    \"seq\": {s},\n    \"heads\": {heads},\n    \"head_dim\": {dh},\n    \"macs\": {att_macs},\n    \"kernels\": [\n      {{\n        \"kernel\": \"attention_per_sequence\",\n        \"values_per_sec\": {per_seq_vps:.0}\n      }},\n      {{\n        \"kernel\": \"attention_fused\",\n        \"values_per_sec\": {fused_vps:.0}\n      }}\n    ],\n    \"fused_speedup_vs_per_sequence\": {fused_speedup:.2}\n  }}",
     );
@@ -376,7 +429,7 @@ fn bench(c: &mut Criterion) {
         println!("[kernels] quick check: baseline not rewritten");
     } else {
         let baseline = format!(
-            "{{\n  \"bench\": \"kernels_gemm\",\n  \"host_parallelism\": {host_par},\n  \"shapes\": [\n{}\n  ],\n{attention_json}\n}}\n",
+            "{{\n  \"bench\": \"kernels_gemm\",\n  \"host_parallelism\": {host_par},\n  \"shapes\": [\n{}\n  ],\n{attention_json},\n{encode_json}\n}}\n",
             shapes_json.join(",\n"),
         );
         match std::fs::write(&baseline_path, baseline) {
@@ -431,10 +484,8 @@ fn bench(c: &mut Criterion) {
     gemm.bench_function("fp32", |b| b.iter(|| black_box(a.matmul(&w))));
     gemm.finish();
 
-    // Encode/quantizer throughput (the Fig. 7 engine).
-    let acts = activation_matrix(64, 256);
-    let dict = quantize(&acts).dict().clone();
-    let engine = OutputQuantizer::new(dict.clone());
+    // Encode throughput: the per-value specification, the served slice
+    // encoder, and the Fig. 7 engine's scalar path.
     let mut enc = c.benchmark_group("encode");
     enc.sample_size(if quick { 2 } else { 20 });
     enc.throughput(Throughput::Elements(acts.len() as u64));
@@ -444,6 +495,9 @@ fn bench(c: &mut Criterion) {
                 black_box(dict.encode_value(v));
             }
         })
+    });
+    enc.bench_function("encode_slice", |b| {
+        b.iter(|| black_box(engine.encode_slice(acts.as_slice(), &mut slice_bits)))
     });
     enc.bench_function("output_quantizer_engine", |b| {
         b.iter(|| {

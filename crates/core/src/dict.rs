@@ -354,8 +354,7 @@ impl TensorDict {
     }
 
     /// The full signed centroid list (value space), ascending, paired with
-    /// the code that produces each — the comparator inputs of the Fig. 7
-    /// engine.
+    /// the code that produces each.
     pub fn signed_centroids(&self) -> Vec<(f64, Code)> {
         let mut out = Vec::with_capacity(2 * (self.g_magnitudes.len() + self.ot_magnitudes.len()));
         for (table, is_ot) in [(&self.g_magnitudes, false), (&self.ot_magnitudes, true)] {

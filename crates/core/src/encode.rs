@@ -33,7 +33,7 @@ pub struct Code(u8);
 
 impl Code {
     const SIGN_BIT: u8 = 0b0000_1000;
-    const DICT_BIT: u8 = 0b0001_0000;
+    pub(crate) const DICT_BIT: u8 = 0b0001_0000;
     const INDEX_MASK: u8 = 0b0000_0111;
 
     /// Builds a code from its three fields.

@@ -29,7 +29,9 @@
 //!    [`lut`] — the fast production variant: dense 32×32 per-dictionary-
 //!    pair product tables so GEMMs gather precomputed products instead of
 //!    decoding, bit-identical to the decoded reference by construction.
-//! 7. [`quantizer`] — the output-activation quantization engine of Fig. 7.
+//! 7. [`quantizer`] — the output-activation quantization engine of Fig. 7:
+//!    a comparator table per dictionary, the encoder every served
+//!    activation, KV and weight encode runs through.
 //! 8. [`metrics`] — quantization-error metrics shared by the evaluation.
 //!
 //! # Quickstart

@@ -16,7 +16,7 @@
 //! its code directly. The thresholds are read off the specification,
 //! [`TensorDict::encode_value`], by bisection over the ordered `f32` bit
 //! patterns, so the table equals it code for code on every non-NaN `f32`.
-//! The slice encoders compare [`LANES`] values at a time against every
+//! The slice encoders compare 16 values at a time against every
 //! threshold, one `u32` count per lane, then gather each value's code bits
 //! and decoded centroid from a 32-slot table.
 
@@ -26,7 +26,7 @@ use crate::lut::DecodeLut;
 use mokey_tensor::Matrix;
 
 /// Values the slice encoders compare against the thresholds at once.
-pub const LANES: usize = 16;
+const LANES: usize = 16;
 
 /// Slots of the code table: one per compare count, `0..=31`.
 const SLOTS: usize = 32;
@@ -197,7 +197,7 @@ impl OutputQuantizer {
         for (chunk, out) in values.chunks(LANES).zip(bits.chunks_mut(LANES)) {
             for (b, &count) in out.iter_mut().zip(&self.counts(chunk)) {
                 *b = self.slot_bits[count as usize & SLOT_MASK];
-                outliers += usize::from(*b >> 4);
+                outliers += usize::from(*b & Code::DICT_BIT != 0);
             }
         }
         outliers
@@ -225,7 +225,7 @@ impl OutputQuantizer {
             }
             for (v, &slot) in chunk.iter_mut().zip(&slots) {
                 *v = self.slot_values[slot];
-                outliers += usize::from(self.slot_bits[slot] >> 4);
+                outliers += usize::from(self.slot_bits[slot] & Code::DICT_BIT != 0);
             }
         }
         outliers

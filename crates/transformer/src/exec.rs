@@ -672,18 +672,8 @@ impl Executor for QuantizedExecutor<'_> {
             return m;
         };
         let frac = fmt.frac_bits();
-        let width = m.cols();
         let mut out = m;
-        for region in &layout.regions {
-            let cols = region.cols.unwrap_or(width);
-            for &(start, count) in &region.row_blocks {
-                for r in start..start + count {
-                    for v in &mut out.row_mut(r)[..cols] {
-                        *v = snap_to_grid(f64::from(*v), frac) as f32;
-                    }
-                }
-            }
-        }
+        layout.map_valid(&mut out, |v| snap_to_grid(f64::from(v), frac) as f32);
         out
     }
 
