@@ -640,8 +640,8 @@ impl Executor for QuantizedExecutor<'_> {
             for &(start, count) in &region.row_blocks {
                 // One slice per full-width band, else one per row's prefix.
                 let (slices, len) = if cols == width { (1, count * width) } else { (count, cols) };
-                for i in 0..slices {
-                    let span = start * width + i * width..start * width + i * width + len;
+                for r in start..start + slices {
+                    let span = r * width..r * width + len;
                     let codes = keep.then(|| &mut bits[span.clone()]);
                     delta.act_outliers += table.quantize_slice(&mut values[span], codes);
                     delta.act_values += len;
